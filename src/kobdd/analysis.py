@@ -28,8 +28,12 @@ import numpy as np
 from .functions import FunctionOracle
 from .program import Assignment, Program, VariableOrder, width
 
-CHAINS = ("hi-n", "hi-p", "hi-q", "s5-obdd", "s5-nobdd", "s5-pobdd",
-          "h-kobdd")
+#: The size parameter each chain is stated over: w (width) or d (the
+#: pointer-jumping alphabet size), in the canonical chain order.
+CHAIN_SIZE = {"hi-n": "w", "hi-p": "w", "hi-q": "d", "s5-obdd": "d",
+              "s5-nobdd": "d", "s5-pobdd": "d", "h-kobdd": "w"}
+
+CHAINS = tuple(CHAIN_SIZE)
 
 MODELS = ("det", "nondet", "prob", "quantum")
 
@@ -97,22 +101,6 @@ def count_subfunctions_at_cut(f: FunctionOracle, subset_a) -> int:
     return _cost_factory(truth_table_of(f), f.n)(mask)
 
 
-def n_theta(f: FunctionOracle, order: VariableOrder) -> int:
-    """Worst prefix-cut count of an order; cuts run over 1 < u < n."""
-    if f.n < 3:
-        raise ValueError("cut positions 1 < u < n need n >= 3")
-    if len(order.perm) != f.n:
-        raise ValueError(f"order over {len(order.perm)} variables, "
-                         f"function has {f.n}")
-    cost = _cost_factory(truth_table_of(f), f.n)
-    best = 0
-    mask = 1 << (order.perm[0] - 1)
-    for u in range(2, f.n):
-        mask |= 1 << (order.perm[u - 1] - 1)
-        best = max(best, cost(mask))
-    return best
-
-
 @dataclass(frozen=True)
 class SubfunctionProfile:
     """Per-cut counts of one order, with the worst cut called out."""
@@ -120,7 +108,6 @@ class SubfunctionProfile:
     n: int
     order: VariableOrder
     counts: tuple[int, ...]          # cut positions u = 2 .. n-1
-    n_min: int | None = None
 
     @property
     def cuts(self) -> range:
@@ -131,19 +118,26 @@ class SubfunctionProfile:
         return max(self.counts)
 
 
-def subfunction_profile(f: FunctionOracle, order: VariableOrder,
-                        with_min: bool = False) -> SubfunctionProfile:
+def subfunction_profile(f: FunctionOracle,
+                        order: VariableOrder) -> SubfunctionProfile:
+    """Distinct-subfunction count at every prefix cut 1 < u < n of order."""
     if f.n < 3:
         raise ValueError("cut positions 1 < u < n need n >= 3")
+    if len(order.perm) != f.n:
+        raise ValueError(f"order over {len(order.perm)} variables, "
+                         f"function has {f.n}")
     cost = _cost_factory(truth_table_of(f), f.n)
     counts = []
     mask = 1 << (order.perm[0] - 1)
     for u in range(2, f.n):
         mask |= 1 << (order.perm[u - 1] - 1)
         counts.append(cost(mask))
-    minimum = n_min(f) if with_min else None
-    return SubfunctionProfile(n=f.n, order=order, counts=tuple(counts),
-                              n_min=minimum)
+    return SubfunctionProfile(n=f.n, order=order, counts=tuple(counts))
+
+
+def n_theta(f: FunctionOracle, order: VariableOrder) -> int:
+    """Worst prefix-cut count of an order; cuts run over 1 < u < n."""
+    return subfunction_profile(f, order).max_count
 
 
 def _lattice_best(f: FunctionOracle) -> dict[int, int]:
@@ -393,13 +387,13 @@ def _chain_h_kobdd(k: int, w: int, constants: Constants):
 
 
 _CHAIN_FNS = {
-    "hi-n": (_chain_hi_n, "w"),
-    "hi-p": (_chain_hi_p, "w"),
-    "hi-q": (_chain_hi_q, "d"),
-    "s5-obdd": (_chain_s5_obdd, "d"),
-    "s5-nobdd": (_chain_s5_nobdd, "d"),
-    "s5-pobdd": (_chain_s5_pobdd, "d"),
-    "h-kobdd": (_chain_h_kobdd, "w"),
+    "hi-n": _chain_hi_n,
+    "hi-p": _chain_hi_p,
+    "hi-q": _chain_hi_q,
+    "s5-obdd": _chain_s5_obdd,
+    "s5-nobdd": _chain_s5_nobdd,
+    "s5-pobdd": _chain_s5_pobdd,
+    "h-kobdd": _chain_h_kobdd,
 }
 
 
@@ -416,7 +410,7 @@ def check_chain(chain: str, *, k: int, w: int | None = None,
     if chain not in _CHAIN_FNS:
         raise ValueError(f"unknown chain {chain!r}; "
                          f"choose from {', '.join(CHAINS)}")
-    fn, size_name = _CHAIN_FNS[chain]
+    fn, size_name = _CHAIN_FNS[chain], CHAIN_SIZE[chain]
     size = w if size_name == "w" else d
     if size is None:
         raise ValueError(f"chain {chain} needs parameter {size_name}")
@@ -439,15 +433,16 @@ def check_chain(chain: str, *, k: int, w: int | None = None,
 
 def default_grid(chain: str) -> list[dict[str, int]]:
     """The documented parameter grid of a chain, in canonical order."""
-    ks = range(2, 65)
-    if chain in ("hi-n", "hi-p"):
-        sizes, name = [1 << e for e in range(3, 11)], "w"
-    elif chain == "h-kobdd":
-        sizes, name = [1 << e for e in range(6, 11)], "w"
-    elif chain in ("hi-q", "s5-obdd", "s5-nobdd", "s5-pobdd"):
-        sizes, name = [1 << e for e in range(4, 21)], "d"
-    else:
+    if chain not in CHAIN_SIZE:
         raise ValueError(f"unknown chain {chain!r}")
+    ks = range(2, 65)
+    name = CHAIN_SIZE[chain]
+    if chain == "h-kobdd":
+        sizes = [1 << e for e in range(6, 11)]
+    elif name == "w":
+        sizes = [1 << e for e in range(3, 11)]
+    else:
+        sizes = [1 << e for e in range(4, 21)]
     return [{name: size, "k": k} for size in sizes for k in ks]
 
 

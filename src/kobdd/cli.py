@@ -26,18 +26,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (CHAINS, Constants, check_chain, default_grid,
-                       optimal_order, subfunction_profile)
+from .analysis import (CHAIN_SIZE, CHAINS, Constants, check_chain,
+                       default_grid, optimal_order, subfunction_profile)
 from .constructions import (build_mxpj_id_obdd, build_saf_2k_obdd,
                             compile_to_nondet, compile_to_prob,
                             compile_to_quantum)
 from .functions import SAFLayout, parse_function, truth_table_function
-from .program import (Assignment, ProgramFormatError, VariableOrder,
-                      load_program, serialize, validate, width)
+from .program import (EXHAUSTIVE_LIMIT, Assignment, ProgramFormatError,
+                      VariableOrder, all_assignments_array, load_program,
+                      serialize, validate, width)
 from .semantics import (accept_prob, accept_prob_batch, eval_det,
                         eval_det_batch, eval_nondet, eval_nondet_batch)
 
-_EXHAUSTIVE_GUARD = 24
 _CHUNK = 1 << 14
 
 
@@ -121,12 +121,6 @@ def _function_from_arg(arg: str):
     return truth_table_function(Path(arg).stem, [int(c) for c in text])
 
 
-def _bit_block(lo: int, hi: int, n: int) -> np.ndarray:
-    ms = np.arange(lo, hi, dtype=np.uint32)
-    return ((ms[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
-            ).astype(np.uint8)
-
-
 def _predict_batch(p, xs: np.ndarray) -> np.ndarray:
     if p.semantics == "deterministic":
         return eval_det_batch(p, xs)
@@ -163,8 +157,8 @@ def _cmd_build(args) -> int:
         k, w, n = (int(s) for s in parts)
         layout = SAFLayout(n=n, k=k, w=w)
         if not layout.regime_ok:
-            _say(f"note: address blocks need {layout.blocks * layout.a} of "
-                 f"{n} bits; the address-capacity inequality fails and the "
+            _say(f"note: the address-capacity inequality 2kw(2w + address "
+                 f"bits) < n fails ({layout.regime_bits} >= {n}); the "
                  "function is degenerate, but the program is well defined")
         program = build_saf_2k_obdd(k, w, n)
     else:
@@ -200,43 +194,34 @@ def _cmd_check_equiv(args) -> int:
         raise ValueError(f"function reads {f.n} variables, program "
                          f"reads {program.n}")
     n = program.n
-    checked = 0
+    rng = None
+    if args.mode == "exhaustive":
+        if n > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"exhaustive mode needs n <= "
+                             f"{EXHAUSTIVE_LIMIT}, got {n}")
+        total = 1 << n
+    else:
+        if args.samples < 1:
+            raise ValueError("--samples must be at least 1")
+        total = args.samples
+        rng = np.random.Generator(np.random.PCG64(args.seed))
     mismatches = 0
     first: str | None = None
-    if args.mode == "exhaustive":
-        if n > _EXHAUSTIVE_GUARD:
-            raise ValueError(f"exhaustive mode needs n <= "
-                             f"{_EXHAUSTIVE_GUARD}, got {n}")
-        for lo in range(0, 1 << n, _CHUNK):
-            hi = min(lo + _CHUNK, 1 << n)
-            block = _bit_block(lo, hi, n)
-            got = _predict_batch(program, block)
-            want = np.fromiter(
-                (f(Assignment.from_int(m, n)) for m in range(lo, hi)),
-                dtype=np.uint8, count=hi - lo)
-            bad = np.nonzero(got != want)[0]
-            checked += hi - lo
-            mismatches += bad.size
-            if bad.size and first is None:
-                first = str(Assignment.from_int(lo + int(bad[0]), n))
-    else:
-        rng = np.random.Generator(np.random.PCG64(args.seed))
-        remaining = args.samples
-        while remaining > 0:
-            take = min(remaining, _CHUNK)
-            block = rng.integers(0, 2, size=(take, n), dtype=np.uint8)
-            got = _predict_batch(program, block)
-            want = np.fromiter(
-                (f(Assignment(tuple(int(b) for b in row)))
-                 for row in block),
-                dtype=np.uint8, count=take)
-            bad = np.nonzero(got != want)[0]
-            checked += take
-            mismatches += bad.size
-            if bad.size and first is None:
-                first = "".join(str(int(b)) for b in block[bad[0]])
-            remaining -= take
-    lines = [f"{checked} checked, {mismatches} mismatches"]
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        if rng is None:
+            xs = all_assignments_array(n, lo, hi)
+        else:
+            xs = rng.integers(0, 2, size=(hi - lo, n), dtype=np.uint8)
+        got = _predict_batch(program, xs)
+        # one row at a time: a whole-block tolist() adds ~3 MB of peak RSS
+        want = np.fromiter((f(Assignment(tuple(row.tolist()))) for row in xs),
+                           dtype=np.uint8, count=hi - lo)
+        bad = np.nonzero(got != want)[0]
+        mismatches += bad.size
+        if bad.size and first is None:
+            first = str(Assignment(tuple(xs[bad[0]].tolist())))
+    lines = [f"{total} checked, {mismatches} mismatches"]
     if first is not None:
         lines.append(f"first counterexample: {first}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -275,7 +260,7 @@ def _cmd_subfn(args) -> int:
 
 
 def _bounds_rows(chain: str, ks, sizes, constants: Constants):
-    size_name = "w" if chain in ("hi-n", "hi-p", "h-kobdd") else "d"
+    size_name = CHAIN_SIZE[chain]
     if ks is None or sizes is None:
         grid = default_grid(chain)
         if ks is None:
@@ -304,7 +289,7 @@ def _cmd_bounds(args) -> int:
     rows = []
     worst = None
     for chain in chains:
-        size_name = "w" if chain in ("hi-n", "hi-p", "h-kobdd") else "d"
+        size_name = CHAIN_SIZE[chain]
         axis = args.w if size_name == "w" else args.d
         if args.w and size_name != "w":
             raise ValueError(f"chain {chain} is parameterized by d, not w")
@@ -363,9 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed for sampling commands (default 0)")
-    shared.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker budget; sweeps are vectorized, output "
-                             "order is canonical regardless")
     shared.add_argument("--out", "-o", default=argparse.SUPPRESS,
                         help="write the primary artifact to this path "
                              "instead of stdout")
@@ -375,7 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="build, run and analyze layered oblivious branching "
                     "programs")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", "-o", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -399,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "truth-table file")
     p.add_argument("--mode", choices=("exhaustive", "sample"),
                    default="exhaustive")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=int, default=100000,
+                   help="rows drawn in sample mode, at least 1")
     p.set_defaults(handler=_cmd_check_equiv)
 
     p = sub.add_parser("subfn", parents=[shared],
@@ -436,9 +418,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return int(stop.code) if stop.code else 0
-    if args.threads < 1:
-        _say("error: --threads must be at least 1")
-        return 2
     try:
         return args.handler(args)
     except ProgramFormatError as bad:

@@ -85,14 +85,19 @@ class SAFLayout:
         return self.blocks * self.a
 
     @property
+    def regime_bits(self) -> int:
+        """2kw(2w + addr bits), the input length n must exceed."""
+        return self.blocks * (2 * self.w + self.addr_k_bits
+                              + self.addr_w_bits)
+
+    @property
     def regime_ok(self) -> bool:
         """Whether 2kw(2w + addr bits) < n, the lower-bound lemmas' regime.
 
         Not required for evaluation; instances outside the regime are
         still well defined whenever b >= 1.
         """
-        return self.blocks * (2 * self.w + self.addr_k_bits
-                              + self.addr_w_bits) < self.n
+        return self.regime_bits < self.n
 
     def block_slice(self, p: int) -> tuple[int, int]:
         """Half-open 0-based bit range of block p."""

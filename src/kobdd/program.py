@@ -59,6 +59,8 @@ FORMAT_TAG = "kobdd-program-v1"
 UNITARY_TOL = 1e-9
 #: Per-column tolerance for stochastic column sums.
 STOCHASTIC_TOL = 1e-9
+#: Largest n for which every 2^n input is enumerated (exhaustive checks).
+EXHAUSTIVE_LIMIT = 24
 
 
 class ProgramFormatError(ValueError):
@@ -106,16 +108,21 @@ class Assignment:
         return "".join(str(b) for b in self.bits)
 
 
-def all_assignments_array(n: int) -> np.ndarray:
-    """All 2^n assignments as a (2^n, n) uint8 matrix, ascending by integer.
+def all_assignments_array(n: int, lo: int = 0,
+                          hi: int | None = None) -> np.ndarray:
+    """Assignments lo..hi-1 (default all 2^n) as an (hi-lo, n) uint8 matrix.
 
-    Row m holds the bits of ``Assignment.from_int(m, n)``.
+    Row i holds the bits of ``Assignment.from_int(lo + i, n)``.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > 24:
+    if n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"refusing to materialize 2^{n} assignments")
-    m = np.arange(1 << n, dtype=np.uint32)
+    if hi is None:
+        hi = 1 << n
+    if not 0 <= lo <= hi <= 1 << n:
+        raise ValueError(f"rows {lo}..{hi} outside 0..{1 << n}")
+    m = np.arange(lo, hi, dtype=np.uint32)
     return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 

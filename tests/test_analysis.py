@@ -96,6 +96,9 @@ def test_profile_rows():
     assert list(prof.cuts) == [2, 3, 4]
     assert prof.counts == (2, 2, 2)
     assert prof.max_count == 2
+    for perm in ((1, 2, 3, 4), (1, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError):
+            subfunction_profile(f, VariableOrder(perm))
 
 
 def test_n_min_known_values():

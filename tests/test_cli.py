@@ -72,7 +72,8 @@ def test_build_saf_notes_regime_violation(tmp_path, capsys):
     path = str(tmp_path / "s.json")
     code, _, err = _run(capsys, ["build", "saf:3,4,300", "-o", path])
     assert code == 0
-    assert "address-capacity" in err
+    # 2kw(2w + address bits) = 24 * (8 + 2 + 3) = 312, not below n = 300
+    assert "address-capacity" in err and "(312 >= 300)" in err
     assert width(load_program(path)) <= 13
 
 
@@ -154,6 +155,12 @@ def test_check_equiv_sampled(tmp_path, capsys):
                                  "--seed", "7"])
     assert code == 0
     assert out == "800 checked, 0 mismatches\n"
+    for samples in ("0", "-5"):
+        code, out, err = _run(capsys, ["check-equiv", path, "saf:2,2,57",
+                                       "--mode", "sample",
+                                       "--samples", samples])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--samples" in err
 
 
 def test_check_equiv_arity_mismatch(tmp_path, capsys):
@@ -188,6 +195,10 @@ def test_subfn_explicit_order_and_cut(capsys):
     assert out.strip().split("\n")[1] == "and:4,4,4 3 2 1,2,2"
     code, _, _ = _run(capsys, ["subfn", "and:4", "--cut", "9"])
     assert code == 2
+    for order in ("2,1,3", "1,2,3,4,5"):
+        code, out, err = _run(capsys, ["subfn", "xor:4", "--order", order])
+        assert code == 2 and out == "", order
+        assert err.startswith("error:") and "function has 4" in err
 
 
 def test_subfn_truth_table_file(tmp_path, capsys):
@@ -301,13 +312,6 @@ def test_out_file_matches_stdout(tmp_path, capsys):
                                  "--out", str(path)])
     assert code == 0 and out == ""
     assert path.read_text() == piped
-
-
-def test_threads_flag(capsys):
-    assert _run(capsys, ["bounds", "hi-n", "--k", "2", "--w", "8",
-                         "--threads", "2"])[0] == 0
-    assert _run(capsys, ["bounds", "hi-n", "--k", "2", "--w", "8",
-                         "--threads", "0"])[0] == 2
 
 
 def test_help_and_missing_command(capsys):

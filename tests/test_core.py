@@ -45,6 +45,11 @@ def test_all_assignments_array_matches_from_int():
     assert xs.shape == (32, 5)
     for m in (0, 1, 17, 31):
         assert tuple(int(b) for b in xs[m]) == Assignment.from_int(m, 5).bits
+    assert np.array_equal(all_assignments_array(5, 17, 20), xs[17:20])
+    assert all_assignments_array(5, 32).shape == (0, 5)
+    for lo, hi in ((3, 2), (0, 33), (-1, 4)):
+        with pytest.raises(ValueError):
+            all_assignments_array(5, lo, hi)
     with pytest.raises(ValueError):
         all_assignments_array(25)
 

@@ -1,5 +1,6 @@
 """Execution semantics against brute-force oracles and hand values."""
 
+import dataclasses
 import math
 import random
 
@@ -70,55 +71,78 @@ def test_quantum_hand_values():
 # batch evaluators against scalar ones, scalar ones against oracles
 
 
-@pytest.mark.parametrize("seed", range(6))
+# Seeds 0-5 draw random programs; "empty-accept" reruns the seed-0 program
+# with no accepting sink.  Every mode runs twice on one Program object, so
+# the second round reads the compiled levels cached by the first.
+CASES = [*range(6), pytest.param(None, id="empty-accept")]
+
+
+def _case(make, seed, base):
+    p = make(random.Random(base + (seed or 0)))
+    return p if seed is not None else dataclasses.replace(p, accept=frozenset())
+
+
+def _widths(p):
+    return {lvl.width_in for lvl in p.levels} | {p.final_width}
+
+
+@pytest.mark.parametrize("seed", CASES)
 def test_det_matches_oracle_and_batch(seed):
-    rng = random.Random(seed)
-    p = random_det_program(rng, n=4, k=2)
+    p = _case(lambda rng: random_det_program(rng, n=4, k=2), seed, 0)
+    assert len(_widths(p)) > 1
     xs = all_assignments_array(4)
-    batch = eval_det_batch(p, xs)
-    for m in range(16):
-        x = Assignment.from_int(m, 4)
-        v = eval_det(p, x)
-        assert v == det_by_hand(p, x) == int(batch[m])
-        assert evaluate(p, x) == v
+    for _ in range(2):
+        batch = eval_det_batch(p, xs)
+        for m in range(16):
+            x = Assignment.from_int(m, 4)
+            v = eval_det(p, x)
+            assert v == det_by_hand(p, x) == int(batch[m])
+            assert int(eval_det_batch(p, xs[m:m + 1])[0]) == v
+            assert evaluate(p, x) == v
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", CASES)
 def test_nondet_matches_oracle_and_batch(seed):
-    rng = random.Random(100 + seed)
-    p = random_nondet_program(rng, n=3, k=2)
+    p = _case(lambda rng: random_nondet_program(rng, n=3, k=2), seed, 100)
+    assert len(_widths(p)) > 1
     xs = all_assignments_array(3)
-    batch = eval_nondet_batch(p, xs)
-    for m in range(8):
-        x = Assignment.from_int(m, 3)
-        v = eval_nondet(p, x)
-        assert v == nondet_by_paths(p, x) == int(batch[m])
+    for _ in range(2):
+        batch = eval_nondet_batch(p, xs)
+        for m in range(8):
+            x = Assignment.from_int(m, 3)
+            v = eval_nondet(p, x)
+            assert v == nondet_by_paths(p, x) == int(batch[m])
+            assert int(eval_nondet_batch(p, xs[m:m + 1])[0]) == v
 
 
-@pytest.mark.parametrize("seed", range(6))
+def _prob_modes_match(p, oracle, final_prob):
+    xs = all_assignments_array(p.n)
+    for _ in range(2):
+        batch = accept_prob_batch(p, xs)
+        for m in range(1 << p.n):
+            x = Assignment.from_int(m, p.n)
+            want = oracle(p, x)
+            for got in (accept_prob(p, x), float(batch[m]),
+                        float(accept_prob_batch(p, xs[m:m + 1])[0]),
+                        final_prob(p, state_trace(p, x)[-1])):
+                assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", CASES)
 def test_prob_matches_oracle_and_batch(seed):
-    rng = random.Random(200 + seed)
-    p = random_prob_program(rng, n=3, k=2)
-    xs = all_assignments_array(3)
-    batch = accept_prob_batch(p, xs)
-    for m in range(8):
-        x = Assignment.from_int(m, 3)
-        v = accept_prob(p, x)
-        assert v == pytest.approx(prob_by_hand(p, x), abs=1e-12)
-        assert v == pytest.approx(float(batch[m]), abs=1e-12)
+    p = _case(lambda rng: random_prob_program(rng, n=3, k=2), seed, 200)
+    assert len(_widths(p)) > 1
+    _prob_modes_match(p, prob_by_hand,
+                      lambda p, v: float(sum(v[a - 1] for a in p.accept)))
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", CASES)
 def test_quantum_matches_oracle_and_batch(seed):
-    rng = random.Random(300 + seed)
-    p = random_quantum_program(rng, n=3, k=2, w=4)
-    xs = all_assignments_array(3)
-    batch = accept_prob_batch(p, xs)
-    for m in range(8):
-        x = Assignment.from_int(m, 3)
-        v = accept_prob(p, x)
-        assert v == pytest.approx(quantum_by_hand(p, x), abs=1e-12)
-        assert v == pytest.approx(float(batch[m]), abs=1e-12)
+    p = _case(lambda rng: random_quantum_program(rng, n=3, k=2, w=4),
+              seed, 300)
+    _prob_modes_match(p, quantum_by_hand,
+                      lambda p, v: float(sum(abs(v[a - 1]) ** 2
+                                             for a in p.accept)))
 
 
 def test_accepts_strings_and_tuples():
