@@ -121,6 +121,14 @@ def _function_from_arg(arg: str):
     return truth_table_function(Path(arg).stem, [int(c) for c in text])
 
 
+def _load_valid(path: str):
+    program = load_program(path)
+    report = validate(program)
+    if not report.ok:
+        raise ValueError("invalid program: " + "; ".join(report.violations))
+    return program
+
+
 def _predict_batch(p, xs: np.ndarray) -> np.ndarray:
     if p.semantics == "deterministic":
         return eval_det_batch(p, xs)
@@ -175,7 +183,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    program = load_program(args.program)
+    program = _load_valid(args.program)
     x = _load_bits(args.input, program.n)
     if program.semantics == "deterministic":
         result = str(eval_det(program, x))
@@ -188,7 +196,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
-    program = load_program(args.program)
+    program = _load_valid(args.program)
     f = _function_from_arg(args.function)
     if f.n != program.n:
         raise ValueError(f"function reads {f.n} variables, program "

@@ -47,7 +47,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Iterable
+from itertools import chain, repeat
+from typing import Any, Iterable, NoReturn
 
 import numpy as np
 
@@ -370,22 +371,39 @@ def validate(p: Program) -> ValidationReport:
 
 # ---------------------------------------------------------------------------
 # serialization
+#
+# serialize() writes the text of json.dumps(doc, indent=1, sort_keys=True).
+# Any indent sends json.dumps to its pure-Python encoder, so only the small
+# header goes through it; each transition is one str.join at its fixed depth.
+
+_CELL = '{\n     "im": %s,\n     "re": %s\n    }'
 
 
-def _encode_transition(t: Any, semantics: str) -> Any:
+def _entries(t: Any, semantics: str) -> list[str]:
     if semantics == "deterministic":
-        return list(t)
+        return [str(s) for s in t]
     if semantics == "nondeterministic":
-        return [[s, d] for s, d in sorted(t)]
-    if semantics == "probabilistic":
-        return [repr(float(x)) for x in np.asarray(t).ravel()]
-    return [{"re": repr(float(z.real)), "im": repr(float(z.imag))}
-            for z in np.asarray(t).ravel()]
+        return [f"[\n     {s},\n     {d}\n    ]" for s, d in sorted(t)]
+    dtype = np.float64 if semantics == "probabilistic" else np.complex128
+    # unique on the bits, not the values: -0.0 == 0.0, but the reprs differ
+    bits, inv = np.unique(np.ascontiguousarray(t, dtype).reshape(-1)
+                          .view(np.uint64), return_inverse=True)
+    text = [f'"{x!r}"' for x in bits.view(np.float64).tolist()]
+    if dtype is np.complex128:  # inv holds (re, im) pairs: one text per pair
+        cells, inv = np.unique(inv[0::2] * len(text) + inv[1::2],
+                               return_inverse=True)
+        text = [_CELL % (text[c % len(text)], text[c // len(text)])
+                for c in cells.tolist()]
+    return [text[i] for i in inv.tolist()]
+
+
+def _encode_list(entries: list[str]) -> str:
+    return "[\n    " + ",\n    ".join(entries) + "\n   ]" if entries else "[]"
 
 
 def serialize(p: Program) -> str:
     """Encode a program as a JSON document; see the module docstring."""
-    doc = {
+    head = json.dumps({
         "format": FORMAT_TAG,
         "semantics": p.semantics,
         "n": p.n,
@@ -394,18 +412,19 @@ def serialize(p: Program) -> str:
         "initial": p.initial,
         "accept": sorted(p.accept),
         "epsilon": p.epsilon,
-        "levels": [
-            {
-                "var": l.variable,
-                "width_in": l.width_in,
-                "width_out": l.width_out,
-                "t0": _encode_transition(l.t0, p.semantics),
-                "t1": _encode_transition(l.t1, p.semantics),
-            }
-            for l in p.levels
-        ],
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
+        "levels": None,
+    }, indent=1, sort_keys=True)
+    levels = [
+        f"  {{\n   \"t0\": {_encode_list(_entries(l.t0, p.semantics))},\n"
+        f"   \"t1\": {_encode_list(_entries(l.t1, p.semantics))},\n"
+        f"   \"var\": {l.variable},\n   \"width_in\": {l.width_in},\n"
+        f"   \"width_out\": {l.width_out}\n  }}"
+        for l in p.levels]
+    before, _, after = head.partition('"levels": null')
+    if not levels:
+        return before + '"levels": []' + after
+    return "".join((before, '"levels": [\n', ",\n".join(levels), "\n ]",
+                    after))
 
 
 def _want(doc: dict, key: str, kind: type, where: str) -> Any:
@@ -432,6 +451,23 @@ def _parse_number(raw: Any, where: str) -> float:
     if not math.isfinite(x):
         raise ProgramFormatError(f"{where}: non-finite value {raw!r}")
     return x
+
+
+def _raise_first_bad(raw: list, semantics: str, where: str) -> NoReturn:
+    """Raise the error of the first entry of matrix ``raw`` that does not
+    decode, checking entry by entry (the fast path only sees that one
+    does not)."""
+    for i, x in enumerate(raw):
+        if semantics == "probabilistic":
+            _parse_number(x, f"{where}[{i}]")
+        elif not isinstance(x, dict) or set(x) != {"re", "im"}:
+            raise ProgramFormatError(
+                f"{where}[{i}]: complex entries need 're' and 'im'")
+        else:
+            _parse_number(x["re"], f"{where}[{i}].re")
+            _parse_number(x["im"], f"{where}[{i}].im")
+    # not reached: the loop raises wherever the fast path gave up
+    raise ProgramFormatError(f"{where}: undecodable matrix entries")
 
 
 def _decode_transition(raw: Any, semantics: str, width_in: int,
@@ -462,19 +498,25 @@ def _decode_transition(raw: Any, semantics: str, width_in: int,
         raise ProgramFormatError(
             f"{where}: expected {width_out}x{width_in} = "
             f"{width_in * width_out} entries, got {len(raw)}")
-    if semantics == "probabilistic":
-        flat = [_parse_number(x, f"{where}[{i}]") for i, x in enumerate(raw)]
-        m = np.array(flat, dtype=np.float64).reshape(width_out, width_in)
-    else:
-        flat = []
-        for i, cell in enumerate(raw):
-            if not isinstance(cell, dict) or set(cell) != {"re", "im"}:
-                raise ProgramFormatError(
-                    f"{where}[{i}]: complex entries need 're' and 'im'")
-            flat.append(complex(_parse_number(cell["re"], f"{where}[{i}].re"),
-                                _parse_number(cell["im"], f"{where}[{i}].im")))
-        m = np.array(flat, dtype=np.complex128).reshape(width_out, width_in)
-    return _frozen_array(m)
+    columns = [raw]
+    if semantics == "quantum":
+        cells = set(map(type, raw)) == {dict} and set(map(len, raw)) == {2}
+        columns = [list(map(dict.get, raw, repeat(k))) for k in ("re", "im")
+                   ] if cells else []
+    try:  # parse each distinct string once
+        table = dict.fromkeys(chain(*columns))
+        for s in table:
+            table[s] = _parse_number(s, "")
+    except (TypeError, ProgramFormatError):  # an unhashable or a bad entry
+        table = {}
+    if not table:  # also when the cells are not all {"re", "im"} objects
+        _raise_first_bad(raw, semantics, where)
+    parts = [np.fromiter(map(table.__getitem__, c), np.float64, len(raw))
+             for c in columns]
+    # one float64 column is the matrix; (re, im) float64 pairs are complex128
+    m = np.stack(parts, axis=-1).view(np.complex128 if len(parts) == 2
+                                      else np.float64)
+    return _frozen_array(m.reshape(width_out, width_in))
 
 
 def deserialize(text: str) -> Program:
@@ -488,7 +530,7 @@ def deserialize(text: str) -> Program:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise ProgramFormatError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ProgramFormatError("top level: expected an object")

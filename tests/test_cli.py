@@ -1,5 +1,6 @@
 """Command-line interface: codes, formats, reproducibility."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -90,6 +91,25 @@ def test_eval_error_paths(tmp_path, capsys):
     assert code == 2 and "malformed" in err
 
 
+@pytest.mark.parametrize("field, value, violation", [
+    ("accept", [999], "accept nodes [999] outside 1..4"),
+    ("initial", 99, "initial node 99 outside 1..4"),
+    ("initial", 0, "initial node 0 outside 1..4"),   # would wrap to node 4
+])
+@pytest.mark.parametrize("command", ["eval", "check-equiv"])
+def test_run_commands_reject_invalid_program(tmp_path, capsys, command,
+                                             field, value, violation):
+    path = tmp_path / "p.json"
+    _run(capsys, ["build", "mxpj:1,2", "-o", str(path)])
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    last = "1001" if command == "eval" else "mxpj:1,2"
+    code, out, err = _run(capsys, [command, str(path), last])
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid program: {violation}\n"
+
+
 def test_eval_reads_input_file(tmp_path, capsys):
     prog = str(tmp_path / "p.json")
     _run(capsys, ["build", "mxpj:1,2", "-o", prog])
@@ -111,6 +131,14 @@ def test_validate_command(tmp_path, capsys):
     broken.write_text(json.dumps(doc))
     code, out, _ = _run(capsys, ["validate", str(broken)])
     assert code == 2 and "invalid:" in out
+
+
+def test_validate_deeply_nested_document(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = _run(capsys, ["validate", str(deep)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed program document: invalid JSON")
 
 
 def test_validate_semantic_violation(tmp_path, capsys):
@@ -290,6 +318,26 @@ def test_bounds_custom_constants(capsys):
 
 # ---------------------------------------------------------------------------
 # determinism, files, plumbing
+
+
+# SHA-256 of the files written by the stdlib json.dumps(indent=1) encoder
+@pytest.mark.parametrize("descriptor, digest", [
+    ("mxpj:1,4",
+     "ea18980bf6da8c09271a589896fa7ebe0b99fae451d810a9eb2e9102e55af881"),
+    ("mxpj:1,4,nondet",
+     "72d88584a4f77c144a5d8aff03917bed3616efe5e21271f6fc127c482eaed907"),
+    ("mxpj:1,4,prob",
+     "d484a5ea1ebe536808d638e4626d1c4f5e6e72c1f18dbd826dfae2a5a41783dc"),
+    ("mxpj:1,4,quantum",
+     "01e370d24f2463bf986d6ddd0ed28adb3a14f00e8d3bb73f5217a6183928bcdd"),
+    ("mxpj:2,8,quantum",
+     "378e7229fbaf8c715e3f07be4794cd69f9920f6e196008730da3ad4e35f3a169"),
+])
+def test_build_files_are_pinned(tmp_path, capsys, descriptor, digest):
+    path = tmp_path / "p.json"
+    code, _, _ = _run(capsys, ["build", descriptor, "-o", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Data model, validation and the JSON document format."""
 
+import dataclasses
 import json
 import random
 
@@ -229,6 +230,87 @@ def test_serialize_is_deterministic():
     assert serialize(p) == serialize(deserialize(serialize(p)))
 
 
+def _reference_text(p) -> str:
+    """The v1 document of ``p`` through the standard library's encoder."""
+    def encode(t):
+        if p.semantics == "deterministic":
+            return list(t)
+        if p.semantics == "nondeterministic":
+            return [[s, d] for s, d in sorted(t)]
+        if p.semantics == "probabilistic":
+            return [repr(float(x)) for x in np.asarray(t).ravel()]
+        return [{"re": repr(float(z.real)), "im": repr(float(z.imag))}
+                for z in np.asarray(t).ravel()]
+
+    doc = {"format": "kobdd-program-v1", "semantics": p.semantics,
+           "n": p.n, "k": p.k, "order": list(p.order.perm),
+           "initial": p.initial, "accept": sorted(p.accept),
+           "epsilon": p.epsilon,
+           "levels": [{"var": l.variable, "width_in": l.width_in,
+                       "width_out": l.width_out,
+                       "t0": encode(l.t0), "t1": encode(l.t1)}
+                      for l in p.levels]}
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+def _one_level(semantics, level, **fields) -> Program:
+    return Program(semantics=semantics, n=1, k=1,
+                   order=VariableOrder.identity(1), levels=(level,),
+                   initial=1, accept=frozenset({1}), **fields)
+
+
+# -0.0 == 0.0 but prints differently; 5e-324 is the smallest subnormal
+_ODD = [-0.0, 5e-324, 1e16, 0.1 + 0.2, 0.0, 1.0]
+
+
+def _encoder_cases():
+    cases = {}
+    for i, sem in enumerate(("deterministic", "nondeterministic",
+                             "probabilistic", "quantum")):
+        cases[sem] = random_program(random.Random(40 + i), sem, n=3, k=2)
+    det = cases["deterministic"]
+    assert len({l.width_in for l in det.levels}) > 1     # widths change
+    cases["empty accept"] = dataclasses.replace(det, accept=frozenset())
+    cases["empty nondet transition"] = _one_level(
+        "nondeterministic", nondet_level(1, 2, 3, [], [(2, 3), (1, 1)]))
+    prob = cases["probabilistic"]
+    cases["epsilon 0.5"] = dataclasses.replace(prob, epsilon=0.5)
+    odd = np.array(_ODD).reshape(2, 3)
+    cases["odd reals"] = _one_level(
+        "probabilistic", matrix_level(1, odd, odd[::-1]))
+    cases["odd complex"] = _one_level(
+        "quantum", matrix_level(1, odd + 1j * odd[::-1],
+                                np.vectorize(complex)(odd[::-1], odd)))
+    cases["float32"] = _one_level(
+        "probabilistic", matrix_level(1, np.float32(odd) / 3, odd))
+    cases["complex64"] = _one_level(
+        "quantum", matrix_level(1, np.complex64(odd + 0.1j), odd))
+    return cases
+
+
+_ENCODER_CASES = _encoder_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODER_CASES))
+def test_serialize_matches_json_dumps(name):
+    p = _ENCODER_CASES[name]
+    assert serialize(p) == _reference_text(p)
+
+
+def test_repeated_entries_round_trip_bit_exact():
+    w = 64
+    perm = np.eye(w)[np.roll(np.arange(w), 1)]
+    signed = np.where(perm == 0, -0.0, 1.0) + 1j * np.where(perm, 0.0, -0.0)
+    for p in (_one_level("probabilistic",
+                         matrix_level(1, np.full((w, w), 1 / w), perm)),
+              _one_level("quantum", matrix_level(1, signed, perm + 0j))):
+        text = serialize(p)
+        assert text.count('"0.0"') + text.count('"-0.0"') > 2000
+        q = deserialize(text)
+        assert q.structurally_equal(p)
+        assert serialize(q) == text
+
+
 def _doc(p) -> dict:
     return json.loads(serialize(p))
 
@@ -277,6 +359,8 @@ def test_malformed_documents_rejected():
             deserialize(json.dumps(doc))
     with pytest.raises(ProgramFormatError):
         deserialize("{ not json")
+    with pytest.raises(ProgramFormatError, match="invalid JSON"):
+        deserialize("[" * 200000 + "]" * 200000)     # deeper than the stack
 
 
 def test_format_errors_name_position():
@@ -293,3 +377,46 @@ def test_nondet_round_trip_preserves_edges():
     q = deserialize(serialize(p))
     for a, b in zip(p.levels, q.levels):
         assert a.t0 == b.t0 and a.t1 == b.t1
+
+
+def _bad_entry_doc(semantics: str) -> dict:
+    m = np.full((3, 3), 1 / 3)
+    if semantics == "quantum":
+        m = np.eye(3, dtype=complex)[[1, 2, 0]]
+    return _doc(_one_level(semantics, matrix_level(1, m, m)))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0.5, "matrix entries must be decimal strings, found float"),
+    (True, "matrix entries must be decimal strings, found bool"),
+    (None, "matrix entries must be decimal strings, found NoneType"),
+    ("nan", "non-finite value 'nan'"),
+    ("inf", "non-finite value 'inf'"),
+    ("1e999", "non-finite value '1e999'"),
+    ("abc", "not a decimal number: 'abc'"),
+])
+@pytest.mark.parametrize("field", [None, "re", "im"])
+def test_matrix_decoder_names_first_bad_entry(field, bad, message):
+    doc = _bad_entry_doc("probabilistic" if field is None else "quantum")
+    t1 = doc["levels"][0]["t1"]
+    if field is None:
+        t1[5], t1[7] = bad, "abc"
+        where = "levels[0].t1[5]"
+    else:
+        t1[5][field], t1[7][field] = bad, "abc"
+        where = f"levels[0].t1[5].{field}"
+    with pytest.raises(ProgramFormatError) as info:
+        deserialize(json.dumps(doc))
+    assert str(info.value) == f"{where}: {message}"
+
+
+@pytest.mark.parametrize("cell", [{"re": "0.0"},
+                                  {"re": "0.0", "im": "0.0", "x": "0.0"},
+                                  ["0.0", "0.0"]])
+def test_complex_decoder_names_first_bad_cell(cell):
+    doc = _bad_entry_doc("quantum")
+    doc["levels"][0]["t1"][5] = cell
+    with pytest.raises(ProgramFormatError) as info:
+        deserialize(json.dumps(doc))
+    assert str(info.value) == \
+        "levels[0].t1[5]: complex entries need 're' and 'im'"
