@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import FunctionOracle
-from .program import Assignment, Program, VariableOrder, width
+from .program import (Program, VariableOrder, all_assignments_array,
+                      sweep_rows, width)
 
 #: The size parameter each chain is stated over: w (width) or d (the
 #: pointer-jumping alphabet size), in the canonical chain order.
@@ -54,28 +55,22 @@ def truth_table_of(f: FunctionOracle) -> np.ndarray:
     if f.n > LATTICE_GUARD:
         raise ValueError(f"n = {f.n} exceeds the 2^n materialization "
                          f"guard of {LATTICE_GUARD}")
-    values = np.empty(1 << f.n, dtype=np.uint8)
-    for m in range(values.size):
-        values[m] = f(Assignment.from_int(m, f.n))
-    return values
+    return sweep_rows(f, all_assignments_array(f.n))
 
 
 def _cost_factory(table: np.ndarray, n: int):
-    """Maps a prefix-set bitmask to its distinct-subfunction count."""
-    m = np.arange(table.size, dtype=np.uint32)
-    bits = [((m >> j) & 1).astype(np.uint32) for j in range(n)]
+    """Maps a prefix-set bitmask to its distinct-subfunction count.
+
+    The table, reshaped to a (2,)*n cube, has variable n - i on axis i.
+    Moving the prefix set's axes to the front turns each restriction
+    into one row; the count is the number of distinct packed rows.
+    """
+    cube = table.reshape((2,) * n)
 
     def cost(mask: int) -> int:
-        a_vars = [j for j in range(n) if (mask >> j) & 1]
-        b_vars = [j for j in range(n) if not (mask >> j) & 1]
-        a_idx = np.zeros(table.size, dtype=np.uint32)
-        for r, j in enumerate(a_vars):
-            a_idx |= bits[j] << r
-        b_idx = np.zeros(table.size, dtype=np.uint32)
-        for r, j in enumerate(b_vars):
-            b_idx |= bits[j] << r
-        rows = np.zeros((1 << len(a_vars), 1 << len(b_vars)), dtype=np.uint8)
-        rows[a_idx, b_idx] = table
+        a = [i for i in range(n) if (mask >> (n - 1 - i)) & 1]
+        b = [i for i in range(n) if not (mask >> (n - 1 - i)) & 1]
+        rows = cube.transpose(a + b).reshape(1 << len(a), -1)
         packed = np.packbits(rows, axis=1)
         return len({row.tobytes() for row in packed})
 
@@ -152,28 +147,22 @@ def _lattice_best(f: FunctionOracle) -> dict[int, int]:
                          f"got n = {f.n}")
     n = f.n
     cost = _cost_factory(truth_table_of(f), n)
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if 2 <= size <= n - 1:
-            by_size[size].append(mask)
     best: dict[int, int] = {}
-    for mask in by_size[2]:
-        best[mask] = cost(mask)
-    for size in range(3, n):
-        for mask in by_size[size]:
-            reachable = min(best[mask & ~(1 << j)]
-                            for j in range(n) if (mask >> j) & 1)
-            best[mask] = max(cost(mask), reachable)
+    # numeric order visits every subset before its supersets
+    for mask in range(1, (1 << n) - 1):
+        size = mask.bit_count()
+        if size == 2:
+            best[mask] = cost(mask)
+        elif size > 2:
+            best[mask] = max(cost(mask), min(best[mask & ~(1 << j)]
+                                             for j in range(n)
+                                             if (mask >> j) & 1))
     return best
 
 
 def n_min(f: FunctionOracle) -> int:
     """Exact minimum over orders of the worst prefix-cut count."""
-    best = _lattice_best(f)
-    n = f.n
-    return min(v for mask, v in best.items()
-               if mask.bit_count() == n - 1)
+    return optimal_order(f)[0]
 
 
 def optimal_order(f: FunctionOracle) -> tuple[int, VariableOrder]:
@@ -242,7 +231,10 @@ class Constants:
     c3: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.c, self.c1, self.c2, self.c3) <= 0:
+        values = (self.c, self.c1, self.c2, self.c3)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("constants must be finite")
+        if min(values) <= 0:
             raise ValueError("constants must be positive")
 
     def describe(self) -> str:
@@ -255,6 +247,18 @@ class Constants:
 DEFAULT_CONSTANTS = Constants()
 
 
+def _bound_power(model: str, k: int, w: int, constants: Constants):
+    """The model's upper bound on the subfunction count as (base, exponent)."""
+    if model == "det":
+        return w, (k - 1) * w + 1
+    if model == "nondet":
+        return 2, w * ((k - 1) * w + 1)
+    if model == "prob":
+        return (constants.c1 * k * (constants.c2 + math.log2(w)
+                                    + math.log2(k)), (k + 1) * w * w)
+    return w, constants.c * (k * w) ** 2
+
+
 def bound_log2(model: str, k: int, w: int,
                constants: Constants = DEFAULT_CONSTANTS) -> float:
     """log2 of the model's upper bound on the subfunction count."""
@@ -262,15 +266,8 @@ def bound_log2(model: str, k: int, w: int,
         raise ValueError(f"unknown model {model!r}")
     if k < 1 or w < 2:
         raise ValueError(f"need k >= 1 and w >= 2, got k={k}, w={w}")
-    lw = math.log2(w)
-    if model == "det":
-        return ((k - 1) * w + 1) * lw
-    if model == "nondet":
-        return w * ((k - 1) * w + 1)
-    if model == "prob":
-        inner = constants.c1 * k * (constants.c2 + lw + math.log2(k))
-        return (k + 1) * w * w * math.log2(inner)
-    return constants.c * (k * w) ** 2 * lw
+    base, exponent = _bound_power(model, k, w, constants)
+    return exponent * math.log2(base)
 
 
 LOWER_BOUNDS = ("saf", "saf_cor", "mxpj", "mxpj_cor")
@@ -464,7 +461,7 @@ def empirical_bound_check(p: Program, f: FunctionOracle) -> EmpiricalBoundReport
     """Check exact N(f) against the bound at p's layer count and width.
 
     The comparison is exact: integer exponentiation where the bound's
-    base is integral, a log2 comparison otherwise.
+    base and exponent are integral, a log2 comparison otherwise.
     """
     if f.n > LATTICE_GUARD:
         raise ValueError(f"n = {f.n} exceeds the guard of {LATTICE_GUARD}")
@@ -472,32 +469,14 @@ def empirical_bound_check(p: Program, f: FunctionOracle) -> EmpiricalBoundReport
     k, w = p.k, width(p)
     model = {"deterministic": "det", "nondeterministic": "nondet",
              "probabilistic": "prob", "quantum": "quantum"}[p.semantics]
-    constants = DEFAULT_CONSTANTS
-    if model == "det":
-        bound = w ** ((k - 1) * w + 1)
-        text = f"{w}^{(k - 1) * w + 1}"
-        holds = count <= bound
-    elif model == "nondet":
-        exponent = w * ((k - 1) * w + 1)
-        bound = 2 ** exponent
-        text = f"2^{exponent}"
-        holds = count <= bound
-    elif model == "prob":
-        base = constants.c1 * k * (constants.c2 + math.log2(w)
-                                   + math.log2(k))
-        exponent = (k + 1) * w * w
-        if base == int(base):
-            holds = count <= int(base) ** exponent
-        else:
-            holds = math.log2(count) <= exponent * math.log2(base)
-        text = f"({base:g})^{exponent}"
+    base, exponent = _bound_power(model, k, w, DEFAULT_CONSTANTS)
+    if base == int(base) and exponent == int(exponent):
+        holds = count <= int(base) ** int(exponent)
     else:
-        exponent = constants.c * (k * w) ** 2
-        if exponent == int(exponent):
-            holds = count <= w ** int(exponent)
-        else:
-            holds = math.log2(count) <= exponent * math.log2(w)
-        text = f"{w}^{exponent:g}"
+        holds = math.log2(count) <= exponent * math.log2(base)
+    base_text = str(base) if isinstance(base, int) else f"({base:g})"
+    exp_text = str(exponent) if isinstance(exponent, int) else f"{exponent:g}"
     return EmpiricalBoundReport(model=model, k=k, width=w,
-                                n_subfunctions=count, bound_text=text,
+                                n_subfunctions=count,
+                                bound_text=f"{base_text}^{exp_text}",
                                 holds=holds)

@@ -34,7 +34,7 @@ from .constructions import (build_mxpj_id_obdd, build_saf_2k_obdd,
 from .functions import SAFLayout, parse_function, truth_table_function
 from .program import (EXHAUSTIVE_LIMIT, Assignment, ProgramFormatError,
                       VariableOrder, all_assignments_array, load_program,
-                      serialize, validate, width)
+                      serialize, sweep_rows, validate, width)
 from .semantics import (accept_prob, accept_prob_batch, eval_det,
                         eval_det_batch, eval_nondet, eval_nondet_batch)
 
@@ -222,9 +222,7 @@ def _cmd_check_equiv(args) -> int:
         else:
             xs = rng.integers(0, 2, size=(hi - lo, n), dtype=np.uint8)
         got = _predict_batch(program, xs)
-        # one row at a time: a whole-block tolist() adds ~3 MB of peak RSS
-        want = np.fromiter((f(Assignment(tuple(row.tolist()))) for row in xs),
-                           dtype=np.uint8, count=hi - lo)
+        want = sweep_rows(f, xs)
         bad = np.nonzero(got != want)[0]
         mismatches += bad.size
         if bad.size and first is None:

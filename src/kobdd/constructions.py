@@ -201,6 +201,13 @@ def _require_deterministic(p: Program, who: str) -> None:
                          f"got {p.semantics}")
 
 
+def _successor_matrix(t: tuple, width_out: int, dtype) -> np.ndarray:
+    """The 0/1 (width_out, len(t)) matrix routing node i to successor t[i]."""
+    m = np.zeros((width_out, len(t)), dtype=dtype)
+    m[np.asarray(t) - 1, np.arange(len(t))] = 1.0
+    return m
+
+
 def compile_to_quantum(p: Program) -> Program:
     """Permutation embedding of a constant-width bijective program.
 
@@ -221,10 +228,7 @@ def compile_to_quantum(p: Program) -> Program:
             if sorted(t) != list(range(1, size + 1)):
                 raise NonReversibleError(
                     f"level {idx}: {which} is not a bijection")
-            m = np.zeros((size, size), dtype=np.complex128)
-            for i, succ in enumerate(t):
-                m[succ - 1, i] = 1.0
-            mats.append(m)
+            mats.append(_successor_matrix(t, size, np.complex128))
         levels.append(matrix_level(lvl.variable, mats[0], mats[1]))
     return Program(semantics="quantum", n=p.n, k=p.k, order=p.order,
                    levels=tuple(levels), initial=p.initial,
@@ -247,15 +251,11 @@ def compile_to_nondet(p: Program) -> Program:
 def compile_to_prob(p: Program) -> Program:
     """0-1 column-stochastic embedding; all probabilities stay 0 or 1."""
     _require_deterministic(p, "compile_to_prob")
-    levels = []
-    for lvl in p.levels:
-        mats = []
-        for t in (lvl.t0, lvl.t1):
-            m = np.zeros((lvl.width_out, lvl.width_in), dtype=np.float64)
-            for i, succ in enumerate(t):
-                m[succ - 1, i] = 1.0
-            mats.append(m)
-        levels.append(matrix_level(lvl.variable, mats[0], mats[1]))
+    levels = tuple(
+        matrix_level(l.variable,
+                     _successor_matrix(l.t0, l.width_out, np.float64),
+                     _successor_matrix(l.t1, l.width_out, np.float64))
+        for l in p.levels)
     return Program(semantics="probabilistic", n=p.n, k=p.k, order=p.order,
-                   levels=tuple(levels), initial=p.initial,
+                   levels=levels, initial=p.initial,
                    accept=p.accept, epsilon=0.5)

@@ -127,6 +127,17 @@ def all_assignments_array(n: int, lo: int = 0,
     return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
+def sweep_rows(f, xs: np.ndarray) -> np.ndarray:
+    """f applied to every row of an (m, n) 0/1 matrix, as an (m,) uint8 vector.
+
+    The one place a reference function meets a block of inputs.  Each
+    row becomes an Assignment on its own: a whole-block ``tolist()``
+    adds ~3 MB of peak RSS.
+    """
+    return np.fromiter((f(Assignment(tuple(row.tolist()))) for row in xs),
+                       dtype=np.uint8, count=len(xs))
+
+
 @dataclass(frozen=True)
 class VariableOrder:
     """A permutation of 1..n giving the within-layer test order."""

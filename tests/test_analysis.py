@@ -54,6 +54,17 @@ def test_count_matches_naive_oracle_everywhere():
                 naive_subfunction_count(f, subset)
 
 
+def test_count_matches_naive_oracle_at_n7():
+    # uneven cuts move the prefix axes of the 2^7 cube across each other
+    rng = random.Random(47)
+    for _ in range(3):
+        f = _random_function(rng, 7)
+        for mask in range(1, (1 << 7) - 1):
+            subset = {j + 1 for j in range(7) if (mask >> j) & 1}
+            assert count_subfunctions_at_cut(f, subset) == \
+                naive_subfunction_count(f, subset), sorted(subset)
+
+
 def test_count_ignores_listing_order():
     f = _random_function(random.Random(43), 5)
     assert count_subfunctions_at_cut(f, [2, 4, 1]) == \

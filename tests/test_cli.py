@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -229,6 +230,26 @@ def test_subfn_explicit_order_and_cut(capsys):
         assert err.startswith("error:") and "function has 4" in err
 
 
+# (seed, share of ones, order, counts at cuts 2..11), recorded from the
+# size-bucketed lattice; the sparse table has many tied orders
+@pytest.mark.parametrize("seed, ones, order, counts", [
+    (12, 0.5, "11 12 10 9 7 5 4 3 6 2 1 8",
+     (4, 8, 16, 32, 64, 128, 251, 222, 16, 4)),
+    (13, 0.02, "10 12 2 1 6 7 11 8 5 4 3 9",
+     (4, 8, 15, 24, 31, 33, 25, 15, 6, 3)),
+])
+def test_subfn_min_order_pinned(tmp_path, capsys, seed, ones, order, counts):
+    rng = random.Random(seed)
+    table = tmp_path / "t12.tt"
+    table.write_text("".join("1" if rng.random() < ones else "0"
+                             for _ in range(1 << 12)) + "\n")
+    code, out, err = _run(capsys, ["subfn", str(table), "--order", "min"])
+    assert code == 0
+    assert out == "function,n,order,cut,count\n" + "".join(
+        f"t12,12,{order},{u},{c}\n" for u, c in enumerate(counts, start=2))
+    assert err == f"N = {max(counts)}\n"
+
+
 def test_subfn_truth_table_file(tmp_path, capsys):
     table = tmp_path / "parity3.tt"
     table.write_text("01101001\n")
@@ -307,6 +328,14 @@ def test_bounds_usage_errors(capsys):
     assert _run(capsys, ["bounds", "s5-obdd", "--w", "8"])[0] == 2
     assert _run(capsys, ["bounds", "hi-n", "--w", "bad"])[0] == 2
     assert _run(capsys, ["bounds", "hi-n", "--constants", "C5=1"])[0] == 2
+
+
+@pytest.mark.parametrize("token", ["C=inf", "C2=1e400", "C1=nan"])
+def test_bounds_rejects_non_finite_constants(capsys, token):
+    code, out, err = _run(capsys, ["bounds", "hi-p", "--k", "2", "--w", "64",
+                                   "--constants", token])
+    assert code == 2 and out == ""
+    assert err == "error: constants must be finite\n"
 
 
 def test_bounds_custom_constants(capsys):

@@ -15,6 +15,7 @@ from conftest import (random_det_program, random_nondet_program,
 from kobdd import (Assignment, Program, ProgramFormatError, VariableOrder,
                    all_assignments_array, deserialize, det_level,
                    matrix_level, nondet_level, serialize, validate, width)
+from kobdd.program import sweep_rows
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,22 @@ def test_all_assignments_array_matches_from_int():
             all_assignments_array(5, lo, hi)
     with pytest.raises(ValueError):
         all_assignments_array(25)
+
+
+def test_sweep_rows_matches_from_int():
+    n = 6
+    # asymmetric in the variables: a swapped bit order changes its values
+    f = lambda x: (x.bit(1) & (1 - x.bit(n))) ^ int(x.to_int() % 3 == 0)
+    got = sweep_rows(f, all_assignments_array(n))
+    assert got.dtype == np.uint8 and got.shape == (1 << n,)
+    assert got.tolist() == [f(Assignment.from_int(i, n))
+                            for i in range(1 << n)]
+    rows = np.random.default_rng(3).integers(0, 2, size=(40, n),
+                                              dtype=np.uint8)
+    index = rows @ (1 << np.arange(n))
+    assert sweep_rows(f, rows).tolist() == [
+        f(Assignment.from_int(int(i), n)) for i in index]
+    assert sweep_rows(f, rows[:0]).shape == (0,)
 
 
 def test_variable_order_checks_permutation():

@@ -226,6 +226,16 @@ def test_bounded_error_respects_epsilon():
     assert not computes_bounded_error(p, ident, 0.2)
 
 
+def test_bounded_error_rejects_nan():
+    nan = np.full((2, 2), np.nan)
+    levels = (matrix_level(1, nan, nan), matrix_level(2, nan, nan))
+    p = Program(semantics="probabilistic", n=2, k=1,
+                order=VariableOrder.identity(2), levels=levels,
+                initial=1, accept=frozenset({2}))
+    assert not computes_bounded_error(p, lambda x: x.bit(1), 0.1)
+    assert not computes_bounded_error(p, lambda x: 1 - x.bit(1), 0.1)
+
+
 def test_bounded_error_guards():
     p = _xor_program()
     with pytest.raises(ValueError):
