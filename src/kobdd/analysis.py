@@ -51,11 +51,19 @@ class OutOfRegimeError(ValueError):
 
 
 def truth_table_of(f: FunctionOracle) -> np.ndarray:
-    """Materialize f as a uint8 array indexed by the integer encoding."""
+    """f as a read-only uint8 array indexed by the integer encoding.
+
+    Kept in the frozen oracle's instance dict, so each oracle is swept once.
+    """
     if f.n > LATTICE_GUARD:
         raise ValueError(f"n = {f.n} exceeds the 2^n materialization "
                          f"guard of {LATTICE_GUARD}")
-    return sweep_rows(f, all_assignments_array(f.n))
+    table = f.__dict__.get("_truth_table")
+    if table is None:
+        table = sweep_rows(f, all_assignments_array(f.n))
+        table.setflags(write=False)
+        f.__dict__["_truth_table"] = table
+    return table
 
 
 def _cost_factory(table: np.ndarray, n: int):
@@ -338,7 +346,8 @@ def _chain_hi_p(k: int, w: int, constants: Constants):
 def _chain_hi_q(k: int, d: int, constants: Constants):
     r = math.sqrt(d / (constants.c1 * k))
     lhs = lower_log2("mxpj_cor", k, d)
-    rhs = constants.c * (k * r) ** 2 * math.log2(r)
+    # r is 0 only when c1 * k overflows; check_chain rejects the nan
+    rhs = constants.c * (k * r) ** 2 * math.log2(r) if r else math.nan
     margin = k / 16 * math.log2(constants.c1 * k)
     return (r, lhs, rhs, margin, r >= 1,
             "margin is the final reduced exponent assuming C1 = 8C; "
@@ -414,6 +423,10 @@ def check_chain(chain: str, *, k: int, w: int | None = None,
     if k < 1 or size < 2:
         raise ValueError(f"need k >= 1 and {size_name} >= 2")
     r, lhs, rhs, margin, in_regime, note = fn(k, size, constants)
+    if not all(math.isfinite(v) for v in (r, lhs, rhs, margin)):
+        raise ValueError(f"{chain} at k={k}, {size_name}={size}: reduced "
+                         "width, lhs, rhs or margin is not finite under "
+                         f"{constants!r}")
     if r < 1:
         if strict:
             raise OutOfRegimeError(

@@ -99,10 +99,6 @@ class SAFLayout:
         """
         return self.regime_bits < self.n
 
-    def block_slice(self, p: int) -> tuple[int, int]:
-        """Half-open 0-based bit range of block p."""
-        return p * self.a, (p + 1) * self.a
-
 
 def adr_k(x: Assignment, layout: SAFLayout, p: int) -> int:
     """Step address of block p: its first address field reduced mod k."""

@@ -21,8 +21,6 @@ import numpy as np
 
 from .program import Assignment, Program, all_assignments_array, sweep_rows
 
-_STATE_DTYPES = {"nondeterministic": bool, "probabilistic": np.float64,
-                 "quantum": np.complex128}
 _DET, _NONDET = ("deterministic",), ("nondeterministic",)
 _PROB = ("probabilistic", "quantum")
 
@@ -41,36 +39,33 @@ def _bits_of(x: Assignment | str | tuple | list, n: int) -> np.ndarray:
 
 
 def _compile_level(semantics: str, lvl):
-    """The two operators of one level in the form the kernel applies.
+    """The two operators of one level, indexed by the bit read.
 
-    Deterministic levels become 0-based int64 successor arrays,
-    nondeterministic ones boolean (width_in, width_out) adjacency
-    matrices, and matrix levels transposed views, so that a row state
-    advances as ``state @ op``.
+    Deterministic: one (2, width_in) table of 0-based successors, read
+    as ``tab[bit, node]``.  Otherwise two (width_in, width_out) matrices
+    applied as ``state @ op``: float64 0/1 for a relation, transposed
+    views for stochastic and unitary ones.
     """
     if semantics == "deterministic":
-        return tuple(np.asarray(t, dtype=np.int64) - 1
-                     for t in (lvl.t0, lvl.t1))
+        return np.array([lvl.t0, lvl.t1], dtype=np.intp) - 1
     if semantics == "nondeterministic":
-        ops = []
-        for t in (lvl.t0, lvl.t1):
-            a = np.zeros((lvl.width_in, lvl.width_out), dtype=bool)
-            for s, d in t:
-                a[s - 1, d - 1] = True
-            ops.append(a)
-        return tuple(ops)
+        ops = np.zeros((2, lvl.width_in, lvl.width_out))
+        for op, t in zip(ops, (lvl.t0, lvl.t1)):
+            edges = np.array(list(t), dtype=np.intp).reshape(-1, 2) - 1
+            op[edges[:, 0], edges[:, 1]] = 1
+        return ops
     return lvl.t0.T, lvl.t1.T
 
 
-def _compiled(p: Program) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """(0-based variable, op0, op1) per level, built once per Program.
+def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
+    """(0-based variable, operators) per level, built once per Program.
 
     The list is kept in the instance dict, as functools.cached_property
     does; Program and its levels are frozen, so it never goes stale.
     """
     levels = p.__dict__.get("_kernel_levels")
     if levels is None:
-        levels = tuple((lvl.variable - 1, *_compile_level(p.semantics, lvl))
+        levels = tuple((lvl.variable - 1, _compile_level(p.semantics, lvl))
                        for lvl in p.levels)
         p.__dict__["_kernel_levels"] = levels
     return levels
@@ -89,39 +84,40 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
     """
     if p.semantics not in semantics:
         raise ValueError(f"{caller} on a {p.semantics} program")
-    xs = np.asarray(xs)
-    m = xs.shape[0]
+    # one contiguous 0/1 row per variable; a gather needs integer bits
+    bits = np.ascontiguousarray(np.asarray(xs).T == 1).view(np.uint8)
+    m = bits.shape[1]
     det = p.semantics == "deterministic"
+    nondet = p.semantics == "nondeterministic"
     if det:
-        state = np.full(m, p.initial - 1, dtype=np.int64)
+        state = np.full(m, p.initial - 1, dtype=np.intp)
     else:
         state = np.zeros((m, p.levels[0].width_in),
-                         dtype=_STATE_DTYPES[p.semantics])
+                         complex if p.semantics == "quantum" else float)
         state[:, p.initial - 1] = 1
     # only a trace keeps old states; otherwise each (m, width) one is freed
     states = [state] if trace else None
-    for var, op0, op1 in _compiled(p):
-        b = xs[:, var] == 1
+    for var, ops in _compiled(p):
+        b = bits[var]
         if det:
-            state = np.where(b, op1[state], op0[state])
+            state = ops[b, state]
         else:
-            state = np.where(b[:, None], state @ op1, state @ op0)
+            state = np.where(b[:, None], state @ ops[1], state @ ops[0])
+            if nondet:
+                # stay a 0/1 indicator: unclamped path counts overflow
+                np.minimum(state, 1, out=state)
         if trace:
             states.append(state)
     if trace:
         return states
     idx = [a - 1 for a in p.accept]
     if det:
-        accept = np.zeros(p.final_width, dtype=np.uint8)
-        accept[idx] = 1
-        return accept[state]
-    if p.semantics == "nondeterministic":
-        mask = np.zeros(p.final_width, dtype=bool)
-        mask[idx] = True
-        return (state & mask).any(axis=1).astype(np.uint8)
+        return np.isin(state, idx).view(np.uint8)
+    mass = state[:, idx]
     if p.semantics == "quantum":
-        return np.abs(state[:, idx]) ** 2 @ np.ones(len(idx))
-    return state[:, idx] @ np.ones(len(idx))
+        mass = np.abs(mass) ** 2
+    prob = mass @ np.ones(len(idx))
+    return (prob > 0).astype(np.uint8) if nondet else prob
 
 
 def eval_det(p: Program, x) -> int:
@@ -168,12 +164,9 @@ def state_trace(p: Program, x) -> list[np.ndarray]:
 
 
 def evaluate(p: Program, x):
-    """Dispatch on semantics: 0/1 for det/nondet, a probability otherwise."""
-    if p.semantics == "deterministic":
-        return eval_det(p, x)
-    if p.semantics == "nondeterministic":
-        return eval_nondet(p, x)
-    return accept_prob(p, x)
+    """0/1 for det/nondet programs, an acceptance probability otherwise."""
+    out = _kernel(p, _bits_of(x, p.n), "evaluate", (p.semantics,))[0]
+    return float(out) if p.semantics in _PROB else int(out)
 
 
 def computes_bounded_error(p: Program, f, epsilon: float,

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_subfunction_count
-from kobdd import (Constants, OutOfRegimeError, VariableOrder, and_function,
-                   bound_log2, check_chain, constant_function,
+from kobdd import (Constants, FunctionOracle, OutOfRegimeError,
+                   VariableOrder, and_function, bound_log2, check_chain,
+                   constant_function,
                    count_subfunctions_at_cut, default_grid,
                    empirical_bound_check, lower_log2, mxpj_function, n_min,
                    n_min_by_enumeration, n_theta, optimal_order,
@@ -148,6 +149,18 @@ def test_optimal_order_achieves_minimum():
         value, order = optimal_order(f)
         assert value == n_min(f)
         assert n_theta(f, order) == value
+
+
+def test_min_order_and_profile_sweep_the_oracle_once():
+    # subfn --order min: the lattice and the profile share one truth table
+    calls = []
+    xor = xor_function(8)
+    f = FunctionOracle("counted", 8, lambda x: calls.append(1) or xor(x))
+    value, order = optimal_order(f)
+    profile = subfunction_profile(f, order)
+    assert len(calls) == 1 << 8
+    assert profile.max_count == value == 2
+    assert not truth_table_of(f).flags.writeable
 
 
 def test_enumeration_guard():

@@ -437,3 +437,16 @@ def test_console_script_installed():
     installed = shutil.which("kobdd")
     if installed is not None:
         assert _run_ok([installed, *argv], env).stdout == declared.stdout
+
+
+@pytest.mark.parametrize("args, chain", [
+    (["hi-q", "--k", "2", "--d", "64", "--constants", "C1=1e308"], "hi-q"),
+    (["hi-p", "--k", "2", "--w", "64", "--constants", "C1=1e308"], "hi-p"),
+    (["s5-pobdd", "--k", "2", "--d", "64", "--constants", "C3=1e308"],
+     "s5-pobdd")])
+def test_bounds_rejects_overflowing_constants(capsys, args, chain):
+    code, out, err = _run(capsys, ["bounds", *args])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {chain} at k=2, ")
+    assert "not finite" in err

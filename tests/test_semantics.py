@@ -265,3 +265,62 @@ def test_reversible_det_programs_run_everywhere():
                            base, atol=1e-12)
         assert np.allclose(accept_prob_batch(compile_to_quantum(p), xs),
                            base, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the nondeterministic kernel: 0/1 matrices, clamped to 1 after every step
+
+
+def test_nondet_wide_long_program_does_not_overflow():
+    # width 64, 200 levels, each node reaching all but one successor: path
+    # counts grow by 63x per level and would pass 2^1024 (inf, then
+    # inf * 0 = nan) well before the end
+    w, n, k = 64, 4, 50
+    dense = [frozenset((s, d) for s in range(1, w + 1)
+                       for d in range(1, w + 1) if d != (s + shift) % w + 1)
+             for shift in (0, 7)]
+    levels = [nondet_level(var, w, w, dense[0], dense[1])
+              for var in list(range(1, n + 1)) * k]
+    # the last level routes everything to sink 1 on a 0, sink 2 on a 1
+    levels[-1] = nondet_level(n, w, 2, {(s, 1) for s in range(1, w + 1)},
+                              {(s, 2) for s in range(1, w + 1)})
+    p = Program(semantics="nondeterministic", n=n, k=k,
+                order=VariableOrder.identity(n), levels=tuple(levels),
+                initial=3, accept=frozenset({2}))
+    assert len(p.levels) >= 200 and validate(p).ok
+    xs = all_assignments_array(n)
+    want = [nondet_by_paths(p, Assignment.from_int(m, n))
+            for m in range(1 << n)]
+    assert want == [int(x[-1]) for x in xs]
+    assert eval_nondet_batch(p, xs).tolist() == want
+    assert eval_nondet(p, "0001") == 1 and eval_nondet(p, "1110") == 0
+
+
+def test_nondet_empty_relation_on_one_branch():
+    # x1 = 0 has no edges at all, so only x1 = 1 can reach the sink
+    levels = (nondet_level(1, 2, 2, (), {(1, 1), (1, 2), (2, 2)}),
+              nondet_level(2, 2, 2, {(1, 2), (2, 2)}, {(2, 2)}))
+    p = Program(semantics="nondeterministic", n=2, k=1,
+                order=VariableOrder.identity(2), levels=levels,
+                initial=1, accept=frozenset({2}))
+    assert validate(p).ok
+    xs = all_assignments_array(2)
+    want = [nondet_by_paths(p, Assignment.from_int(m, 2)) for m in range(4)]
+    assert want == [0, 1, 0, 1]
+    assert eval_nondet_batch(p, xs).tolist() == want
+    assert [eval_nondet(p, x) for x in xs.tolist()] == want
+
+
+@pytest.mark.parametrize("dtype", [bool, np.int64])
+@pytest.mark.parametrize("make, run", [
+    (random_det_program, eval_det_batch),
+    (random_nondet_program, eval_nondet_batch)])
+def test_batch_row_dtypes_agree(dtype, make, run):
+    rng = random.Random(41)
+    for _ in range(5):
+        p = make(rng, n=4, k=2)
+        xs = all_assignments_array(4)
+        want = run(p, xs)
+        got = run(p, xs.astype(dtype))
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, want)
