@@ -275,7 +275,11 @@ def bound_log2(model: str, k: int, w: int,
     if k < 1 or w < 2:
         raise ValueError(f"need k >= 1 and w >= 2, got k={k}, w={w}")
     base, exponent = _bound_power(model, k, w, constants)
-    return exponent * math.log2(base)
+    value = exponent * math.log2(base)
+    if not (math.isfinite(base) and math.isfinite(value)):
+        raise ValueError(f"{model} bound at k={k}, w={w} is not finite "
+                         f"under {constants!r}")
+    return value
 
 
 LOWER_BOUNDS = ("saf", "saf_cor", "mxpj", "mxpj_cor")

@@ -17,6 +17,10 @@ vertex label.
 Bit conventions shared by both families: blocks tile the input left to
 right, and within every multi-bit field index j carries weight 2**j
 (LSB first).
+
+Every oracle built here also carries a ``batch`` evaluator over an
+(m, n) 0/1 matrix, used by ``program.sweep_rows``; the scalar evaluators
+above stay the specification it is tested against.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .program import Assignment
 
@@ -252,6 +258,13 @@ def random_saf_positive(layout: SAFLayout, rng: random.Random) -> Assignment:
 # XOR pointer jumping
 
 
+def _check_mxpj_size(k: int, d: int) -> None:
+    if k < 1:
+        raise ValueError("k must be positive")
+    if d < 2 or d & (d - 1):
+        raise ValueError(f"d = {d} is not a power of two >= 2")
+
+
 @dataclass(frozen=True)
 class MXPJInstance:
     """2k function tables between two d-vertex sides.
@@ -267,10 +280,7 @@ class MXPJInstance:
     f_b: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if self.d < 2 or self.d & (self.d - 1):
-            raise ValueError(f"d = {self.d} is not a power of two >= 2")
+        _check_mxpj_size(self.k, self.d)
         for name, side in (("f_a", self.f_a), ("f_b", self.f_b)):
             if len(side) != self.k:
                 raise ValueError(f"{name} must hold {self.k} tables")
@@ -356,16 +366,100 @@ def mxpj_eval(inst: MXPJInstance) -> int:
 
 
 # ---------------------------------------------------------------------------
+# batch evaluators: one (m, n) uint8 bit matrix in, one (m,) uint8 vector out
+
+
+def _lsb_values(cols: np.ndarray) -> np.ndarray:
+    """Each line of the last axis read as an LSB-first unsigned integer.
+
+    The dtype also holds 2**width, so the value can be reduced mod any
+    modulus up to that.
+    """
+    width = cols.shape[-1]
+    weights = 1 << np.arange(width)
+    return cols @ weights.astype(np.min_scalar_type(1 << width))
+
+
+def _saf_batch(bits: np.ndarray, layout: SAFLayout) -> np.ndarray:
+    """saf_eval on every row.
+
+    table[r, t, s] is where the walk goes from slot s at step t: the
+    minimal block addressed (t, s) gives its value plus w from a
+    lower-half slot, its value from an upper-half slot, and -1 if no
+    block is addressed.  The extra last slot stays -1, so a walk at -1
+    stays there.
+    """
+    m, k, w = len(bits), layout.k, layout.w
+    ak, aw = layout.addr_k_bits, layout.addr_w_bits
+    blocks = bits[:, :layout.covered].reshape(m, layout.blocks, layout.a)
+    step = _lsb_values(blocks[:, :, :ak]) % k
+    slot = _lsb_values(blocks[:, :, ak:ak + aw]) % (2 * w)
+    dtype = np.min_scalar_type(-2 * w)
+    value = blocks[:, :, ak + aw:].sum(axis=2, dtype=np.min_scalar_type(
+        max(layout.b, w))) % w
+    target = value.astype(dtype)
+    target[slot < w] += w
+    table = np.full((m, k, 2 * w + 1), -1, dtype)
+    rows = np.arange(m)
+    # descending block order: the minimal index is written last and wins
+    for p in reversed(range(layout.blocks)):
+        table[rows, step[:, p], slot[:, p]] = target[:, p]
+    s = np.zeros(m, dtype)
+    for t in range(k):
+        s = table[rows, t, table[rows, t, s]]
+    return (s > 0).astype(np.uint8)
+
+
+def _mxpj_batch(bits: np.ndarray, k: int, d: int) -> np.ndarray:
+    """mxpj_eval(decode_mxpj(x)) on every row."""
+    m, t = len(bits), (d - 1).bit_length()
+    # (m, 2k, d): side A's k tables, then side B's
+    tables = _lsb_values(bits.reshape(m, 2 * k, d, t))
+    rows = np.arange(m)
+    prev = cur = np.zeros(m, tables.dtype)
+    for i in range(1, 2 * k + 1):
+        pair = (i + 1) // 2 - 1
+        table = tables[:, pair if i % 2 else k + pair]
+        prev, cur = cur, table[rows, cur] ^ prev
+    shift = 1 << (t - 1).bit_length()
+    while shift > 1:
+        shift >>= 1
+        cur ^= cur >> shift
+    return (cur & 1).astype(np.uint8)
+
+
+def _batched(n: int, kernel: Callable[[np.ndarray], np.ndarray]):
+    """kernel behind the checks and messages of the scalar path."""
+    def batch(xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs)
+        if len(xs) == 0:
+            return np.zeros(0, np.uint8)
+        if xs.shape[1] != n:
+            raise ValueError(f"input length {xs.shape[1]} != n = {n}")
+        bits = xs.astype(np.uint8, copy=False)
+        if bits.max() > 1 or (bits is not xs
+                              and not np.array_equal(bits, xs)):
+            raise ValueError("assignment bits must be 0 or 1")
+        return kernel(bits)
+    return batch
+
+
+# ---------------------------------------------------------------------------
 # oracles
 
 
 @dataclass(frozen=True)
 class FunctionOracle:
-    """A named boolean function on n variables, callable on assignments."""
+    """A named boolean function on n variables, callable on assignments.
+
+    ``batch``, when set, maps an (m, n) 0/1 matrix to the (m,) uint8
+    vector of the function's values on its rows, with the same checks.
+    """
 
     name: str
     n: int
     fn: Callable[[Assignment], int]
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x: Assignment) -> int:
         if len(x) != self.n:
@@ -374,29 +468,38 @@ class FunctionOracle:
 
 
 def xor_function(n: int) -> FunctionOracle:
-    return FunctionOracle(f"xor:{n}", n, lambda x: sum(x.bits) & 1)
+    return FunctionOracle(
+        f"xor:{n}", n, lambda x: sum(x.bits) & 1,
+        _batched(n, lambda xs: np.bitwise_xor.reduce(xs, axis=1)))
 
 
 def and_function(n: int) -> FunctionOracle:
-    return FunctionOracle(f"and:{n}", n, lambda x: int(all(x.bits)))
+    return FunctionOracle(
+        f"and:{n}", n, lambda x: int(all(x.bits)),
+        _batched(n, lambda xs: np.bitwise_and.reduce(xs, axis=1)))
 
 
 def constant_function(n: int, value: int) -> FunctionOracle:
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
-    return FunctionOracle(f"const{value}:{n}", n, lambda x: value)
+    return FunctionOracle(
+        f"const{value}:{n}", n, lambda x: value,
+        _batched(n, lambda xs: np.full(len(xs), value, np.uint8)))
 
 
 def saf_function(k: int, w: int, n: int) -> FunctionOracle:
     layout = SAFLayout(n=n, k=k, w=w)
     return FunctionOracle(f"saf:{k},{w},{n}", n,
-                          lambda x: saf_eval(x, layout))
+                          lambda x: saf_eval(x, layout),
+                          _batched(n, lambda xs: _saf_batch(xs, layout)))
 
 
 def mxpj_function(k: int, d: int) -> FunctionOracle:
+    _check_mxpj_size(k, d)
     n = 2 * k * d * (d - 1).bit_length()
     return FunctionOracle(f"mxpj:{k},{d}", n,
-                          lambda x: mxpj_eval(decode_mxpj(x, k, d)))
+                          lambda x: mxpj_eval(decode_mxpj(x, k, d)),
+                          _batched(n, lambda xs: _mxpj_batch(xs, k, d)))
 
 
 def truth_table_function(name: str, values: Sequence[int]) -> FunctionOracle:
@@ -408,7 +511,9 @@ def truth_table_function(name: str, values: Sequence[int]) -> FunctionOracle:
     if any(v not in (0, 1) for v in values):
         raise ValueError("table entries must be 0 or 1")
     table = tuple(values)
-    return FunctionOracle(name, n, lambda x: table[x.to_int()])
+    column = np.array(table, np.uint8)
+    return FunctionOracle(name, n, lambda x: table[x.to_int()],
+                          _batched(n, lambda xs: column[_lsb_values(xs)]))
 
 
 def parse_function(descriptor: str) -> FunctionOracle:

@@ -62,6 +62,8 @@ UNITARY_TOL = 1e-9
 STOCHASTIC_TOL = 1e-9
 #: Largest n for which every 2^n input is enumerated (exhaustive checks).
 EXHAUSTIVE_LIMIT = 24
+#: Rows per call of a batch reference oracle in :func:`sweep_rows`.
+SWEEP_CHUNK = 1 << 14
 
 
 class ProgramFormatError(ValueError):
@@ -130,12 +132,19 @@ def all_assignments_array(n: int, lo: int = 0,
 def sweep_rows(f, xs: np.ndarray) -> np.ndarray:
     """f applied to every row of an (m, n) 0/1 matrix, as an (m,) uint8 vector.
 
-    The one place a reference function meets a block of inputs.  Each
-    row becomes an Assignment on its own: a whole-block ``tolist()``
-    adds ~3 MB of peak RSS.
+    The one place a reference function meets a block of inputs.  An
+    oracle with a ``batch`` evaluator (``functions.FunctionOracle``) takes
+    the block in chunks of ``SWEEP_CHUNK`` rows, which bounds its
+    temporaries.  Any other callable is called once per row, each row an
+    Assignment of its own: a whole-block ``tolist()`` adds ~3 MB of peak
+    RSS.
     """
-    return np.fromiter((f(Assignment(tuple(row.tolist()))) for row in xs),
-                       dtype=np.uint8, count=len(xs))
+    batch = getattr(f, "batch", None)
+    if batch is None:
+        return np.fromiter((f(Assignment(tuple(row.tolist())))
+                            for row in xs), dtype=np.uint8, count=len(xs))
+    return np.concatenate([batch(xs[lo:lo + SWEEP_CHUNK])
+                           for lo in range(0, max(len(xs), 1), SWEEP_CHUNK)])
 
 
 @dataclass(frozen=True)

@@ -191,6 +191,16 @@ def test_bound_log2_guards():
         Constants(c1=-1.0)
 
 
+@pytest.mark.parametrize("model,k,w,constants", [
+    ("prob", 2, 4, Constants(c1=1e308)),
+    ("quantum", 2, 4, Constants(c=1e308)),
+])
+def test_bound_log2_rejects_non_finite_bounds(model, k, w, constants):
+    with pytest.raises(ValueError, match=f"{model} bound at k={k}, w={w} "
+                                         "is not finite"):
+        bound_log2(model, k, w, constants)
+
+
 def test_bound_log2_monotone():
     for model in ("det", "nondet", "prob", "quantum"):
         for k in (1, 2, 3):

@@ -212,6 +212,17 @@ def test_subfn_identity_order(capsys):
     assert "N_theta = 2" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["subfn", "mxpj:1,3", "--order", "id"],
+     "error: d = 3 is not a power of two >= 2"),
+    (["subfn", "mxpj:0,4"], "error: k must be positive"),
+])
+def test_subfn_rejects_bad_mxpj_parameters(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
 def test_subfn_min_order(capsys):
     code, _, err = _run(capsys, ["subfn", "xor:4", "--order", "min"])
     assert code == 0 and "N = 2" in err

@@ -1,16 +1,20 @@
 """Hard function families against hand values and independent references."""
 
+import dataclasses
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import mxpj_trace, saf_ref_eval, saf_reference
 from kobdd import (Assignment, MXPJInstance, SAFLayout, adr_k, adr_w,
-                   decode_mxpj, encode_mxpj, ind, mxpj_eval, mxpj_function,
+                   all_assignments_array, constant_function, decode_mxpj,
+                   encode_mxpj, ind, mxpj_eval, mxpj_function,
                    parse_function, pj_eval, random_saf_positive, saf_eval,
                    saf_function, step_pair, truth_table_function, val,
                    xor_function)
+from kobdd.program import SWEEP_CHUNK, sweep_rows
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +244,133 @@ def test_truth_table_function():
     assert f(Assignment((0, 0, 1))) == 0
     with pytest.raises(ValueError):
         truth_table_function("bad", [0, 1, 1])
+
+
+def test_mxpj_function_checks_parameters_when_built():
+    with pytest.raises(ValueError, match="d = 3 is not a power of two"):
+        mxpj_function(1, 3)
+    with pytest.raises(ValueError, match="k must be positive"):
+        mxpj_function(0, 4)
+
+
+# ---------------------------------------------------------------------------
+# batch evaluators behind sweep_rows, against the scalar oracles
+
+
+def _scalar(f, xs) -> list[int]:
+    return [f(Assignment(tuple(row))) for row in xs.tolist()]
+
+
+def _random_table(n: int, seed: int):
+    rng = random.Random(seed)
+    return truth_table_function(f"random{n}",
+                                [rng.randint(0, 1) for _ in range(1 << n)])
+
+
+BATCH_FAMILIES = ["saf:3,4,300", "saf:2,2,57", "saf:2,3,200", "saf:1,1,5",
+                  "saf:2,64,4000", "saf:2,128,5632", "saf:256,1,5120",
+                  "saf:1,200,4000", "mxpj:1,2", "mxpj:1,4", "mxpj:2,8",
+                  "mxpj:3,2", "mxpj:1,16", "xor:9", "and:3", "const0:6",
+                  "const1:6", "table:10"]
+
+
+def _oracle(descriptor: str):
+    if descriptor.startswith("const"):
+        value, n = descriptor[5:].split(":")
+        return constant_function(int(n), int(value))
+    if descriptor.startswith("table:"):
+        return _random_table(int(descriptor[6:]), seed=17)
+    return parse_function(descriptor)
+
+
+@pytest.mark.parametrize("descriptor", BATCH_FAMILIES)
+def test_batch_matches_scalar_on_random_rows(descriptor):
+    f = _oracle(descriptor)
+    assert f.batch is not None
+    rows = 300 if f.n > 1000 else 1500
+    xs = np.random.default_rng(len(descriptor) + f.n).integers(
+        0, 2, size=(rows, f.n), dtype=np.uint8)
+    got = sweep_rows(f, xs)
+    assert got.dtype == np.uint8 and got.shape == (rows,)
+    assert got.tolist() == _scalar(f, xs)
+
+
+@pytest.mark.parametrize("k,w,n", [(3, 4, 300), (2, 2, 57), (2, 3, 200),
+                                   (2, 4, 200), (1, 2, 12), (3, 2, 60)])
+def test_saf_batch_on_positive_witnesses_and_near_misses(k, w, n):
+    # witnesses walk all k rounds to acceptance; a flipped bit breaks or
+    # reroutes that walk at some step
+    lay = SAFLayout(n=n, k=k, w=w)
+    f = saf_function(k, w, n)
+    rng = random.Random(7 * n + k)
+    witnesses = [random_saf_positive(lay, rng).bits for _ in range(200)]
+    xs = np.array(witnesses, dtype=np.uint8)
+    assert sweep_rows(f, xs).tolist() == [1] * len(witnesses)
+    near = xs.copy()
+    near[np.arange(len(near)), [rng.randrange(lay.covered)
+                                for _ in witnesses]] ^= 1
+    got = sweep_rows(f, near)
+    assert got.tolist() == _scalar(f, near)
+    assert 0 < got.sum() < len(got)
+
+
+@pytest.mark.parametrize("k,d", [(1, 2), (1, 4), (2, 8), (3, 4), (2, 16),
+                                 (1, 32)])
+def test_mxpj_batch_on_encoded_instances(k, d):
+    rng = random.Random(100 * k + d)
+    instances = []
+    for _ in range(300):
+        tables = lambda: tuple(tuple(rng.randrange(d) for _ in range(d))
+                               for _ in range(k))
+        instances.append(MXPJInstance(k=k, d=d, f_a=tables(), f_b=tables()))
+    xs = np.array([encode_mxpj(inst).bits for inst in instances], np.uint8)
+    got = sweep_rows(mxpj_function(k, d), xs)
+    assert got.tolist() == [mxpj_eval(inst) for inst in instances]
+
+
+@pytest.mark.parametrize("descriptor", ["saf:2,2,57", "mxpj:1,4", "xor:5",
+                                        "table:6"])
+def test_batch_row_layouts_and_sizes(descriptor):
+    f = _oracle(descriptor)
+    wide = np.random.default_rng(5).integers(0, 2, size=(64, 2 * f.n),
+                                             dtype=np.uint8)
+    xs = np.ascontiguousarray(wide[:, ::2])
+    want = _scalar(f, xs)
+    for rows in (xs.astype(bool), xs, xs.astype(np.int64), wide[:, ::2],
+                 np.asfortranarray(xs)):
+        assert sweep_rows(f, rows).tolist() == want
+    assert sweep_rows(f, xs[:1]).tolist() == want[:1]
+    empty = sweep_rows(f, xs[:0])
+    assert empty.dtype == np.uint8 and empty.shape == (0,)
+
+
+def test_batch_sweeps_across_chunk_boundaries():
+    f = _random_table(15, seed=23)
+    xs = all_assignments_array(15)
+    assert len(xs) > SWEEP_CHUNK
+    assert sweep_rows(f, xs).tolist() == [
+        f(Assignment.from_int(i, 15)) for i in range(1 << 15)]
+
+
+@pytest.mark.parametrize("descriptor", ["saf:2,2,57", "mxpj:1,4", "xor:5",
+                                        "and:4", "const1:6", "table:6"])
+def test_batch_errors_match_the_scalar_path(descriptor):
+    f = _oracle(descriptor)
+    scalar_only = dataclasses.replace(f, batch=None)
+
+    def message(rows):
+        with pytest.raises(ValueError) as batch_error:
+            sweep_rows(f, rows)
+        with pytest.raises(ValueError) as scalar_error:
+            sweep_rows(scalar_only, rows)
+        assert str(batch_error.value) == str(scalar_error.value)
+        return str(batch_error.value)
+
+    zeros = np.zeros((3, f.n + 1), np.uint8)
+    assert message(zeros) == f"input length {f.n + 1} != n = {f.n}"
+    assert message(zeros[:, :f.n - 1]) == (f"input length {f.n - 1} "
+                                           f"!= n = {f.n}")
+    for bad in (2, -1):
+        rows = np.zeros((3, f.n), np.int64)
+        rows[0, -1] = bad
+        assert message(rows) == "assignment bits must be 0 or 1"
