@@ -50,14 +50,19 @@ class OutOfRegimeError(ValueError):
 # counting distinct subfunctions
 
 
+def check_table_size(n: int) -> None:
+    """Raise ValueError when a 2^n truth table is past the guard."""
+    if n > LATTICE_GUARD:
+        raise ValueError(f"n = {n} exceeds the 2^n materialization "
+                         f"guard of {LATTICE_GUARD}")
+
+
 def truth_table_of(f: FunctionOracle) -> np.ndarray:
     """f as a read-only uint8 array indexed by the integer encoding.
 
     Kept in the frozen oracle's instance dict, so each oracle is swept once.
     """
-    if f.n > LATTICE_GUARD:
-        raise ValueError(f"n = {f.n} exceeds the 2^n materialization "
-                         f"guard of {LATTICE_GUARD}")
+    check_table_size(f.n)
     table = f.__dict__.get("_truth_table")
     if table is None:
         table = sweep_rows(f, all_assignments_array(f.n))
@@ -66,23 +71,61 @@ def truth_table_of(f: FunctionOracle) -> np.ndarray:
     return table
 
 
-def _cost_factory(table: np.ndarray, n: int):
-    """Maps a prefix-set bitmask to its distinct-subfunction count.
+def _refine(parent: np.ndarray, rows, p: int):
+    """Drop the variable x at bit p from parent[rows]: new ids and counts.
 
-    The table, reshaped to a (2,)*n cube, has variable n - i on axis i.
-    Moving the prefix set's axes to the front turns each restriction
-    into one row; the count is the number of distinct packed rows.
+    A row holds an id below 2^s per assignment to a prefix set of size s,
+    bits in ascending variable order; equal ids mean equal restrictions.
+    A new id ranks, within its row, the pair (id at x = 0, id at x = 1).
     """
-    cube = table.reshape((2,) * n)
+    s = parent.shape[1].bit_length() - 1
+    step = 1 << (17 - s)                 # np.unique sorts <= 2^16 keys
+    out = np.empty((len(rows), 1 << (s - 1)), np.int32)
+    counts = np.empty(len(rows), np.int64)
+    for b in range(0, len(rows), step):
+        k = min(step, len(rows) - b)
+        ids = parent[rows[b:b + k]].astype(np.int64).reshape(k, -1, 2, 1 << p)
+        keys = (np.arange(k, dtype=np.int64)[:, None, None] << 2 * s
+                | ids[:, :, 0] << s | ids[:, :, 1])
+        # 1-D keys only: numpy 2.0 changed the inverse's shape for n-d input
+        uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
+        start = np.searchsorted(uniq >> 2 * s, np.arange(k + 1))
+        counts[b:b + k] = np.diff(start)
+        out[b:b + k] = inverse.reshape(k, -1) - start[:k, None]
+    return out, counts
 
-    def cost(mask: int) -> int:
-        a = [i for i in range(n) if (mask >> (n - 1 - i)) & 1]
-        b = [i for i in range(n) if not (mask >> (n - 1 - i)) & 1]
-        rows = cube.transpose(a + b).reshape(1 << len(a), -1)
-        packed = np.packbits(rows, axis=1)
-        return len({row.tobytes() for row in packed})
 
-    return cost
+def _chain_counts(table: np.ndarray, n: int, drops) -> list[int]:
+    """Counts as the 0-based variables in drops leave the full set."""
+    ids, mask, counts = table.reshape(1, -1), (1 << n) - 1, []
+    for x in drops:
+        ids, count = _refine(ids, [0], (mask & ((1 << x) - 1)).bit_count())
+        counts.append(int(count[0]))
+        mask &= ~(1 << x)
+    return counts
+
+
+def _lattice_counts(table: np.ndarray, n: int) -> np.ndarray:
+    """Count of every prefix set of size 2..n-1, indexed by bitmask.
+
+    Layers of int32 ids run top-down by size, two at a time.  A mask's
+    parent is mask | its lowest unset bit x, so x is bit x of its index.
+    """
+    size = np.array([m.bit_count() for m in range(1 << n)])
+    counts = np.zeros(1 << n, np.int64)
+    row = np.zeros(1 << n, np.intp)      # a mask's row in its layer; full: 0
+    ids = table.reshape(1, -1)
+    for s in range(n - 1, 1, -1):
+        child = np.flatnonzero(size == s)
+        low = ~child & (child + 1)       # the lowest unset bit's value
+        row[child] = np.arange(len(child))
+        layer = np.empty((len(child), 1 << s), np.int32)
+        for x in range(n):
+            sel = np.flatnonzero(low == 1 << x)
+            layer[sel], counts[child[sel]] = _refine(
+                ids, row[child[sel] | (1 << x)], x)
+        ids = layer
+    return counts
 
 
 def count_subfunctions_at_cut(f: FunctionOracle, subset_a) -> int:
@@ -98,10 +141,8 @@ def count_subfunctions_at_cut(f: FunctionOracle, subset_a) -> int:
                          f"subset of 1..{f.n}")
     if len(subset) == f.n:
         raise ValueError("the complement of the cut must be nonempty")
-    mask = 0
-    for v in subset:
-        mask |= 1 << (v - 1)
-    return _cost_factory(truth_table_of(f), f.n)(mask)
+    drops = [v - 1 for v in range(1, f.n + 1) if v not in subset]
+    return _chain_counts(truth_table_of(f), f.n, drops)[-1]
 
 
 @dataclass(frozen=True)
@@ -129,43 +170,15 @@ def subfunction_profile(f: FunctionOracle,
     if len(order.perm) != f.n:
         raise ValueError(f"order over {len(order.perm)} variables, "
                          f"function has {f.n}")
-    cost = _cost_factory(truth_table_of(f), f.n)
-    counts = []
-    mask = 1 << (order.perm[0] - 1)
-    for u in range(2, f.n):
-        mask |= 1 << (order.perm[u - 1] - 1)
-        counts.append(cost(mask))
-    return SubfunctionProfile(n=f.n, order=order, counts=tuple(counts))
+    # one chain: the order's variables leave the full set, last first
+    counts = _chain_counts(truth_table_of(f), f.n,
+                           [v - 1 for v in order.perm[:1:-1]])
+    return SubfunctionProfile(n=f.n, order=order, counts=tuple(counts[::-1]))
 
 
 def n_theta(f: FunctionOracle, order: VariableOrder) -> int:
     """Worst prefix-cut count of an order; cuts run over 1 < u < n."""
     return subfunction_profile(f, order).max_count
-
-
-def _lattice_best(f: FunctionOracle) -> dict[int, int]:
-    """Bottleneck value of every subset usable as a prefix (size 2..n-1).
-
-    best(S) is the smallest achievable worst-cut count over orders whose
-    cut chain ends at S; it satisfies
-    best(S) = max(cost(S), min over x of best(S minus x)).
-    """
-    if not 3 <= f.n <= LATTICE_GUARD:
-        raise ValueError(f"lattice method needs 3 <= n <= {LATTICE_GUARD}, "
-                         f"got n = {f.n}")
-    n = f.n
-    cost = _cost_factory(truth_table_of(f), n)
-    best: dict[int, int] = {}
-    # numeric order visits every subset before its supersets
-    for mask in range(1, (1 << n) - 1):
-        size = mask.bit_count()
-        if size == 2:
-            best[mask] = cost(mask)
-        elif size > 2:
-            best[mask] = max(cost(mask), min(best[mask & ~(1 << j)]
-                                             for j in range(n)
-                                             if (mask >> j) & 1))
-    return best
 
 
 def n_min(f: FunctionOracle) -> int:
@@ -174,51 +187,46 @@ def n_min(f: FunctionOracle) -> int:
 
 
 def optimal_order(f: FunctionOracle) -> tuple[int, VariableOrder]:
-    """An order achieving n_min, reconstructed from the lattice values."""
-    best = _lattice_best(f)
-    n = f.n
-    mask = min((m for m in best if m.bit_count() == n - 1),
-               key=lambda m: best[m])
-    value = best[mask]
-    removed = []
+    """An order achieving n_min, by a bottleneck dynamic program.
+
+    best(S), the least worst-cut count of a cut chain ending at S (size
+    2..n-1), is max(count(S), min over x of best(S minus x)).  Ties go to
+    the first (n-1)-set in numeric order, then at each step down to the
+    lowest variable whose removal attains the minimum.
+    """
+    if not 3 <= f.n <= LATTICE_GUARD:
+        raise ValueError(f"lattice method needs 3 <= n <= {LATTICE_GUARD}, "
+                         f"got n = {f.n}")
+    best = _lattice_counts(truth_table_of(f), f.n)
+    size = np.array([m.bit_count() for m in range(1 << f.n)])
+    for s in range(3, f.n):
+        masks = np.flatnonzero(size == s)
+        below = np.min([np.where((masks >> j) & 1, best[masks & ~(1 << j)],
+                                 np.iinfo(np.int64).max)
+                        for j in range(f.n)], axis=0)
+        best[masks] = np.maximum(best[masks], below)
+    best = best.tolist()
+    full = (1 << f.n) - 1
+    mask = min((full & ~(1 << j) for j in reversed(range(f.n))),
+               key=best.__getitem__)
+    value, last_first = best[mask], [full & ~mask]
     while mask.bit_count() > 2:
-        j = min((j for j in range(n) if (mask >> j) & 1),
-                key=lambda j: best[mask & ~(1 << j)])
-        removed.append(j)
-        mask &= ~(1 << j)
-    prefix = [j + 1 for j in range(n) if (mask >> j) & 1]
-    chain = [j + 1 for j in reversed(removed)]
-    used = set(prefix) | set(chain)
-    tail = [v for v in range(1, n + 1) if v not in used]
-    return value, VariableOrder(tuple(prefix + chain + tail))
+        bit = min((1 << j for j in range(f.n) if (mask >> j) & 1),
+                  key=lambda bit: best[mask & ~bit])
+        last_first.append(bit)
+        mask &= ~bit
+    last_first += [1 << j for j in reversed(range(f.n)) if (mask >> j) & 1]
+    return value, VariableOrder(tuple(bit.bit_length()
+                                      for bit in reversed(last_first)))
 
 
 def n_min_by_enumeration(f: FunctionOracle) -> int:
-    """Factorial-enumeration cross-check of n_min, for n <= 6 only."""
+    """n_min as the best worst cut over all n! orders, for n <= 6 only."""
     if not 3 <= f.n <= FACTORIAL_GUARD:
         raise ValueError(f"enumeration needs 3 <= n <= {FACTORIAL_GUARD}, "
                          f"got n = {f.n}")
-    n = f.n
-    cost = _cost_factory(truth_table_of(f), n)
-    memo: dict[int, int] = {}
-
-    def cached(mask: int) -> int:
-        if mask not in memo:
-            memo[mask] = cost(mask)
-        return memo[mask]
-
-    result = None
-    for perm in itertools.permutations(range(n)):
-        mask = 1 << perm[0]
-        worst = 0
-        for u in range(2, n):
-            mask |= 1 << perm[u - 1]
-            worst = max(worst, cached(mask))
-            if result is not None and worst >= result:
-                break
-        if result is None or worst < result:
-            result = worst
-    return result
+    return min(n_theta(f, VariableOrder(perm))
+               for perm in itertools.permutations(range(1, f.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +488,7 @@ def empirical_bound_check(p: Program, f: FunctionOracle) -> EmpiricalBoundReport
     The comparison is exact: integer exponentiation where the bound's
     base and exponent are integral, a log2 comparison otherwise.
     """
-    if f.n > LATTICE_GUARD:
-        raise ValueError(f"n = {f.n} exceeds the guard of {LATTICE_GUARD}")
+    check_table_size(f.n)
     count = n_min(f)
     k, w = p.k, width(p)
     model = {"deterministic": "det", "nondeterministic": "nondet",

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (CHAIN_SIZE, CHAINS, Constants, check_chain,
-                       default_grid, optimal_order, subfunction_profile)
+                       check_table_size, default_grid, optimal_order,
+                       subfunction_profile)
 from .constructions import (build_mxpj_id_obdd, build_saf_2k_obdd,
                             compile_to_nondet, compile_to_prob,
                             compile_to_quantum)
@@ -237,30 +238,21 @@ def _cmd_check_equiv(args) -> int:
 
 def _cmd_subfn(args) -> int:
     f = _function_from_arg(args.function)
+    check_table_size(f.n)        # before an order of f.n variables is built
     if args.order == "min":
         value, order = optimal_order(f)
-        summary = f"N = {value}"
     elif args.order == "id":
         order = VariableOrder.identity(f.n)
-        summary = None
     else:
-        perm = tuple(int(s) for s in args.order.split(","))
-        order = VariableOrder(perm)
-        summary = None
+        order = VariableOrder(tuple(int(s) for s in args.order.split(",")))
     profile = subfunction_profile(f, order)
-    if summary is None:
-        summary = f"N_theta = {profile.max_count}"
+    summary = (f"N = {value}" if args.order == "min"
+               else f"N_theta = {profile.max_count}")
     order_text = " ".join(str(v) for v in order.perm)
-    rows = []
-    if args.cut == "all":
-        cuts = list(profile.cuts)
-    else:
-        u = int(args.cut)
-        if not 1 < u < f.n:
-            raise ValueError(f"cut must satisfy 1 < u < {f.n}")
-        cuts = [u]
-    for u in cuts:
-        rows.append([f.name, f.n, order_text, u, profile.counts[u - 2]])
+    cuts = profile.cuts if args.cut == "all" else [int(args.cut)]
+    if not set(cuts) <= set(profile.cuts):
+        raise ValueError(f"cut must satisfy 1 < u < {f.n}")
+    rows = [[f.name, f.n, order_text, u, profile.counts[u - 2]] for u in cuts]
     _write_csv(["function", "n", "order", "cut", "count"], rows, args.out)
     _say(summary)
     return 0

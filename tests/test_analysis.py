@@ -16,6 +16,7 @@ from kobdd import (Constants, FunctionOracle, OutOfRegimeError,
                    n_min_by_enumeration, n_theta, optimal_order,
                    subfunction_profile, truth_table_function,
                    truth_table_of, xor_function)
+from kobdd.analysis import _lattice_counts
 
 
 def _random_function(rng: random.Random, n: int):
@@ -161,6 +162,72 @@ def test_min_order_and_profile_sweep_the_oracle_once():
     assert len(calls) == 1 << 8
     assert profile.max_count == value == 2
     assert not truth_table_of(f).flags.writeable
+
+
+def _n8_functions():
+    rng, sparse = random.Random(61), random.Random(67)
+    return [_random_function(rng, 8),
+            truth_table_function("sparse8", [int(sparse.random() < 0.02)
+                                             for _ in range(1 << 8)]),
+            constant_function(8, 1), xor_function(8), and_function(8),
+            # a single variable: every restriction is constant
+            truth_table_function("x3", [(i >> 2) & 1 for i in range(1 << 8)])]
+
+
+def _subset(mask: int, n: int) -> set[int]:
+    return {j + 1 for j in range(n) if (mask >> j) & 1}
+
+
+@pytest.fixture(scope="module")
+def naive_n8():
+    """Each n = 8 function with the naive count of every proper mask."""
+    return [(f, {m: naive_subfunction_count(f, _subset(m, 8))
+                 for m in range(1, (1 << 8) - 1)}) for f in _n8_functions()]
+
+
+def test_refinement_matches_naive_counts_at_n8(naive_n8):
+    rng = random.Random(71)
+    for f, naive in naive_n8:
+        lattice = _lattice_counts(truth_table_of(f), 8)
+        for m, count in naive.items():
+            assert count_subfunctions_at_cut(f, _subset(m, 8)) == count
+            if m.bit_count() >= 2:
+                assert lattice[m] == count, (f.name, m)
+        perm = list(range(1, 9))
+        rng.shuffle(perm)
+        prefixes = [sum(1 << (v - 1) for v in perm[:u]) for u in range(2, 8)]
+        assert subfunction_profile(f, VariableOrder(tuple(perm))).counts == \
+            tuple(naive[m] for m in prefixes)
+
+
+def test_refinement_matches_naive_counts_at_n10():
+    rng = random.Random(73)
+    for f in (_random_function(rng, 10),
+              truth_table_function("sparse10", [int(rng.random() < 0.02)
+                                                for _ in range(1 << 10)])):
+        lattice = _lattice_counts(truth_table_of(f), 10)
+        for m in rng.sample(range(1, (1 << 10) - 1), 20):
+            naive = naive_subfunction_count(f, _subset(m, 10))
+            assert count_subfunctions_at_cut(f, _subset(m, 10)) == naive
+            if m.bit_count() >= 2:
+                assert lattice[m] == naive, (f.name, m)
+
+
+def test_n_min_matches_naive_bottleneck_dp_at_n8(naive_n8):
+    for f, naive in naive_n8:
+        best = {}
+        for m in sorted(naive, key=int.bit_count):
+            if m.bit_count() == 2:
+                best[m] = naive[m]
+            elif m.bit_count() > 2:
+                best[m] = max(naive[m], min(best[m & ~(1 << j)]
+                                            for j in range(8) if m >> j & 1))
+        value, order = optimal_order(f)
+        assert value == n_min(f) == min(best[m] for m in best
+                                        if m.bit_count() == 7), f.name
+        prefixes = [sum(1 << (v - 1) for v in order.perm[:u])
+                    for u in range(2, 8)]
+        assert max(naive[m] for m in prefixes) == value
 
 
 def test_enumeration_guard():

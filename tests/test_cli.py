@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import resource
 import shutil
 import subprocess
 import sys
@@ -259,6 +260,59 @@ def test_subfn_min_order_pinned(tmp_path, capsys, seed, ones, order, counts):
     assert out == "function,n,order,cut,count\n" + "".join(
         f"t12,12,{order},{u},{c}\n" for u, c in enumerate(counts, start=2))
     assert err == f"N = {max(counts)}\n"
+
+
+def _pinned_csv(name, n, order, counts):
+    return "function,n,order,cut,count\n" + "".join(
+        f"{name},{n},{order},{u},{c}\n" for u, c in enumerate(counts, start=2))
+
+
+# recorded with the packed-row counter that the refinement replaced; n = 16
+# reaches the layer code at the guard
+@pytest.mark.parametrize("order, order_text, counts, summary", [
+    ("min", "13 14 12 11 2 1 10 9 15 8 7 6 5 4 3 16",
+     (2, 4, 4, 4, 4, 5, 3, 4, 4, 4, 4, 4, 4, 4), "N = 5"),
+    ("id", " ".join(str(v) for v in range(1, 17)),
+     (4, 4, 4, 4, 4, 4, 4, 5, 5, 6, 4, 5, 3, 4), "N_theta = 6"),
+])
+def test_subfn_mxpj_1_4_pinned(capsys, order, order_text, counts, summary):
+    code, out, err = _run(capsys, ["subfn", "mxpj:1,4", "--order", order])
+    assert code == 0
+    assert out == _pinned_csv('"mxpj:1,4"', 16, order_text, counts)
+    assert err == summary + "\n"
+
+
+def test_subfn_min_order_pinned_n14(tmp_path, capsys):
+    rng = random.Random(14)
+    table = tmp_path / "t14.tt"
+    table.write_text("".join("1" if rng.random() < 0.5 else "0"
+                             for _ in range(1 << 14)) + "\n")
+    code, out, err = _run(capsys, ["subfn", str(table), "--order", "min"])
+    assert code == 0
+    assert out == _pinned_csv(
+        "t14", 14, "11 14 10 9 8 7 6 4 3 1 12 5 2 13",
+        (4, 8, 16, 32, 64, 128, 256, 512, 1002, 256, 16, 4))
+    assert err == "N = 1002\n"
+
+
+@pytest.mark.parametrize("order", [[], ["--order", "min"],
+                                   ["--order", "1,2,3"]])
+def test_subfn_checks_n_before_building_an_order(order):
+    # without the check, the identity order of 10^8 variables alone
+    # exhausts memory; the address-space limit keeps a regression small
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kobdd", "subfn", "and:100000000", *order],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit_memory)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: n = 100000000 exceeds the 2^n "
+                           "materialization guard of 16\n")
 
 
 def test_subfn_truth_table_file(tmp_path, capsys):
