@@ -192,9 +192,10 @@ def optimal_order(f: FunctionOracle) -> tuple[int, VariableOrder]:
     best(S), the least worst-cut count of a cut chain ending at S (size
     2..n-1), is max(count(S), min over x of best(S minus x)).  Ties go to
     the first (n-1)-set in numeric order, then at each step down to the
-    lowest variable whose removal attains the minimum.
+    lowest variable whose removal attains the minimum.  Past the 2^n
+    guard, ``truth_table_of`` raises before any count is made.
     """
-    if not 3 <= f.n <= LATTICE_GUARD:
+    if f.n < 3:
         raise ValueError(f"lattice method needs 3 <= n <= {LATTICE_GUARD}, "
                          f"got n = {f.n}")
     best = _lattice_counts(truth_table_of(f), f.n)

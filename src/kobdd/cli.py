@@ -34,13 +34,12 @@ from .constructions import (build_mxpj_id_obdd, build_saf_2k_obdd,
                             compile_to_nondet, compile_to_prob,
                             compile_to_quantum)
 from .functions import SAFLayout, parse_function, truth_table_function
-from .program import (EXHAUSTIVE_LIMIT, Assignment, ProgramFormatError,
-                      VariableOrder, all_assignments_array, load_program,
-                      serialize, sweep_rows, validate, width)
+from .program import (EXHAUSTIVE_LIMIT, SWEEP_CHUNK, Assignment,
+                      ProgramFormatError, VariableOrder,
+                      all_assignments_array, load_program, serialize,
+                      sweep_rows, validate, width)
 from .semantics import (accept_prob, accept_prob_batch, eval_det,
                         eval_det_batch, eval_nondet, eval_nondet_batch)
-
-_CHUNK = 1 << 14
 
 
 def _say(text: str) -> None:
@@ -104,14 +103,10 @@ def _parse_axis(text: str) -> list[int]:
     return points
 
 
-def _load_bits(arg: str, n: int) -> Assignment:
+def _load_bits(arg: str) -> Assignment:
     if arg and set(arg) <= {"0", "1"}:
-        text = arg
-    else:
-        text = Path(arg).read_text().strip()
-    if len(text) != n:
-        raise ValueError(f"input has {len(text)} bits, program reads {n}")
-    return Assignment.from_string(text)
+        return Assignment.from_string(arg)
+    return Assignment.from_string(Path(arg).read_text().strip())
 
 
 def _function_from_arg(arg: str):
@@ -186,7 +181,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_eval(args) -> int:
     program = _load_valid(args.program)
-    x = _load_bits(args.input, program.n)
+    x = _load_bits(args.input)
     if program.semantics == "deterministic":
         result = str(eval_det(program, x))
     elif program.semantics == "nondeterministic":
@@ -217,8 +212,8 @@ def _cmd_check_equiv(args) -> int:
         rng = np.random.Generator(np.random.PCG64(args.seed))
     mismatches = 0
     first: str | None = None
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
+    for lo in range(0, total, SWEEP_CHUNK):
+        hi = min(lo + SWEEP_CHUNK, total)
         if rng is None:
             xs = all_assignments_array(n, lo, hi)
         else:
@@ -239,6 +234,9 @@ def _cmd_check_equiv(args) -> int:
 def _cmd_subfn(args) -> int:
     f = _function_from_arg(args.function)
     check_table_size(f.n)        # before an order of f.n variables is built
+    cuts = range(2, f.n) if args.cut == "all" else [int(args.cut)]
+    if not set(cuts) <= set(range(2, f.n)):
+        raise ValueError(f"cut must satisfy 1 < u < {f.n}")
     if args.order == "min":
         value, order = optimal_order(f)
     elif args.order == "id":
@@ -249,9 +247,6 @@ def _cmd_subfn(args) -> int:
     summary = (f"N = {value}" if args.order == "min"
                else f"N_theta = {profile.max_count}")
     order_text = " ".join(str(v) for v in order.perm)
-    cuts = profile.cuts if args.cut == "all" else [int(args.cut)]
-    if not set(cuts) <= set(profile.cuts):
-        raise ValueError(f"cut must satisfy 1 < u < {f.n}")
     rows = [[f.name, f.n, order_text, u, profile.counts[u - 2]] for u in cuts]
     _write_csv(["function", "n", "order", "cut", "count"], rows, args.out)
     _say(summary)
@@ -420,6 +415,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as bad:
         _say(f"error: {bad}")
+        return 2
+    except MemoryError:
+        _say("error: out of memory")
         return 2
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functions import SAFLayout
+from .functions import SAFLayout, _check_mxpj_size
 from .program import (Program, VariableOrder, det_level, matrix_level,
                       nondet_level)
 
@@ -41,10 +41,7 @@ def build_mxpj_id_obdd(k: int, d: int) -> Program:
     After layer i the pair holds the walk's two latest vertices; the
     accepting sinks are the states whose v register has odd parity.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if d < 2 or d & (d - 1):
-        raise ValueError(f"d = {d} is not a power of two >= 2")
+    _check_mxpj_size(k, d)
     t = (d - 1).bit_length()
     n = 2 * k * d * t
     size = d * d

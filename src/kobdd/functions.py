@@ -19,8 +19,8 @@ right, and within every multi-bit field index j carries weight 2**j
 (LSB first).
 
 Every oracle built here also carries a ``batch`` evaluator over an
-(m, n) 0/1 matrix, used by ``program.sweep_rows``; the scalar evaluators
-above stay the specification it is tested against.
+(m, n) 0/1 matrix, used by ``program.sweep_rows``, which checks the rows;
+the scalar evaluators above stay the specification it is tested against.
 """
 
 from __future__ import annotations
@@ -428,22 +428,6 @@ def _mxpj_batch(bits: np.ndarray, k: int, d: int) -> np.ndarray:
     return (cur & 1).astype(np.uint8)
 
 
-def _batched(n: int, kernel: Callable[[np.ndarray], np.ndarray]):
-    """kernel behind the checks and messages of the scalar path."""
-    def batch(xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs)
-        if len(xs) == 0:
-            return np.zeros(0, np.uint8)
-        if xs.shape[1] != n:
-            raise ValueError(f"input length {xs.shape[1]} != n = {n}")
-        bits = xs.astype(np.uint8, copy=False)
-        if bits.max() > 1 or (bits is not xs
-                              and not np.array_equal(bits, xs)):
-            raise ValueError("assignment bits must be 0 or 1")
-        return kernel(bits)
-    return batch
-
-
 # ---------------------------------------------------------------------------
 # oracles
 
@@ -452,8 +436,10 @@ def _batched(n: int, kernel: Callable[[np.ndarray], np.ndarray]):
 class FunctionOracle:
     """A named boolean function on n variables, callable on assignments.
 
-    ``batch``, when set, maps an (m, n) 0/1 matrix to the (m,) uint8
-    vector of the function's values on its rows, with the same checks.
+    ``batch``, when set, maps an (m, n) uint8 0/1 matrix to the (m,)
+    uint8 vector of the function's values on its rows.  It does no checks
+    of its own: ``program.sweep_rows`` hands it only rows that passed
+    ``program.as_rows``.
     """
 
     name: str
@@ -470,13 +456,13 @@ class FunctionOracle:
 def xor_function(n: int) -> FunctionOracle:
     return FunctionOracle(
         f"xor:{n}", n, lambda x: sum(x.bits) & 1,
-        _batched(n, lambda xs: np.bitwise_xor.reduce(xs, axis=1)))
+        lambda xs: np.bitwise_xor.reduce(xs, axis=1))
 
 
 def and_function(n: int) -> FunctionOracle:
     return FunctionOracle(
         f"and:{n}", n, lambda x: int(all(x.bits)),
-        _batched(n, lambda xs: np.bitwise_and.reduce(xs, axis=1)))
+        lambda xs: np.bitwise_and.reduce(xs, axis=1))
 
 
 def constant_function(n: int, value: int) -> FunctionOracle:
@@ -484,14 +470,14 @@ def constant_function(n: int, value: int) -> FunctionOracle:
         raise ValueError("value must be 0 or 1")
     return FunctionOracle(
         f"const{value}:{n}", n, lambda x: value,
-        _batched(n, lambda xs: np.full(len(xs), value, np.uint8)))
+        lambda xs: np.full(len(xs), value, np.uint8))
 
 
 def saf_function(k: int, w: int, n: int) -> FunctionOracle:
     layout = SAFLayout(n=n, k=k, w=w)
     return FunctionOracle(f"saf:{k},{w},{n}", n,
                           lambda x: saf_eval(x, layout),
-                          _batched(n, lambda xs: _saf_batch(xs, layout)))
+                          lambda xs: _saf_batch(xs, layout))
 
 
 def mxpj_function(k: int, d: int) -> FunctionOracle:
@@ -499,7 +485,7 @@ def mxpj_function(k: int, d: int) -> FunctionOracle:
     n = 2 * k * d * (d - 1).bit_length()
     return FunctionOracle(f"mxpj:{k},{d}", n,
                           lambda x: mxpj_eval(decode_mxpj(x, k, d)),
-                          _batched(n, lambda xs: _mxpj_batch(xs, k, d)))
+                          lambda xs: _mxpj_batch(xs, k, d))
 
 
 def truth_table_function(name: str, values: Sequence[int]) -> FunctionOracle:
@@ -513,7 +499,7 @@ def truth_table_function(name: str, values: Sequence[int]) -> FunctionOracle:
     table = tuple(values)
     column = np.array(table, np.uint8)
     return FunctionOracle(name, n, lambda x: table[x.to_int()],
-                          _batched(n, lambda xs: column[_lsb_values(xs)]))
+                          lambda xs: column[_lsb_values(xs)])
 
 
 def parse_function(descriptor: str) -> FunctionOracle:

@@ -129,20 +129,40 @@ def all_assignments_array(n: int, lo: int = 0,
     return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
 
 
+def as_rows(xs, n: int) -> np.ndarray:
+    """xs as an (m, n) uint8 matrix of 0/1 rows, or a ValueError.
+
+    The one check of input rows: every evaluator and every batch oracle
+    reads its rows through it.  Any dtype whose values are 0 and 1 passes.
+    """
+    xs = np.asarray(xs)
+    if xs.ndim != 2:
+        raise ValueError(f"rows must form an (m, {n}) matrix, "
+                         f"got shape {xs.shape}")
+    if xs.shape[1] != n:
+        raise ValueError(f"input length {xs.shape[1]} != n = {n}")
+    bits = xs.astype(np.uint8, copy=False)
+    if bits.max(initial=0) > 1 or (bits is not xs
+                                   and not np.array_equal(bits, xs)):
+        raise ValueError("assignment bits must be 0 or 1")
+    return bits
+
+
 def sweep_rows(f, xs: np.ndarray) -> np.ndarray:
     """f applied to every row of an (m, n) 0/1 matrix, as an (m,) uint8 vector.
 
     The one place a reference function meets a block of inputs.  An
     oracle with a ``batch`` evaluator (``functions.FunctionOracle``) takes
-    the block in chunks of ``SWEEP_CHUNK`` rows, which bounds its
-    temporaries.  Any other callable is called once per row, each row an
-    Assignment of its own: a whole-block ``tolist()`` adds ~3 MB of peak
-    RSS.
+    the block, checked by :func:`as_rows`, in chunks of ``SWEEP_CHUNK``
+    rows, which bounds its temporaries.  Any other callable is called
+    once per row, each row an Assignment of its own: a whole-block
+    ``tolist()`` adds ~3 MB of peak RSS.
     """
     batch = getattr(f, "batch", None)
     if batch is None:
         return np.fromiter((f(Assignment(tuple(row.tolist())))
                             for row in xs), dtype=np.uint8, count=len(xs))
+    xs = as_rows(xs, f.n)
     return np.concatenate([batch(xs[lo:lo + SWEEP_CHUNK])
                            for lo in range(0, max(len(xs), 1), SWEEP_CHUNK)])
 
@@ -310,6 +330,23 @@ def _check_matrix(level: TransitionLevel, which: str, m: Any,
             out.append(f"{tag}: not unitary (|U+U - I|_F = {err:.3e})")
 
 
+def _transition_fault(t: Any, semantics: str, width_in: int,
+                      width_out: int) -> str | None:
+    """What is wrong with a successor tuple or an edge set, or None.
+
+    The one range check of deterministic and nondeterministic transitions,
+    shared by :func:`validate` and the decoder.
+    """
+    if semantics == "deterministic":
+        if not isinstance(t, tuple) or len(t) != width_in:
+            return f"expected {width_in} successor entries"
+        bad = [s for s in t if type(s) is not int or not 1 <= s <= width_out]
+        return f"successors {bad} outside 1..{width_out}" if bad else None
+    bad = [e for e in t
+           if not (1 <= e[0] <= width_in and 1 <= e[1] <= width_out)]
+    return f"edges {sorted(bad)} out of range" if bad else None
+
+
 def validate(p: Program) -> ValidationReport:
     """Check every structural invariant; report all violations found.
 
@@ -351,25 +388,12 @@ def validate(p: Program) -> ValidationReport:
         if lvl.width_in < 1 or lvl.width_out < 1:
             v.append(f"levels[{i}]: empty level")
             continue
-        if p.semantics == "deterministic":
+        if p.semantics in ("deterministic", "nondeterministic"):
             for which, t in (("t0", lvl.t0), ("t1", lvl.t1)):
-                if not isinstance(t, tuple) or len(t) != lvl.width_in:
-                    v.append(f"levels[{i}].{which}: expected {lvl.width_in} "
-                             "successor entries")
-                    continue
-                bad = [s for s in t
-                       if type(s) is not int or not 1 <= s <= lvl.width_out]
-                if bad:
-                    v.append(f"levels[{i}].{which}: successors {bad} outside "
-                             f"1..{lvl.width_out}")
-        elif p.semantics == "nondeterministic":
-            for which, t in (("t0", lvl.t0), ("t1", lvl.t1)):
-                bad = [e for e in t
-                       if not (1 <= e[0] <= lvl.width_in
-                               and 1 <= e[1] <= lvl.width_out)]
-                if bad:
-                    v.append(f"levels[{i}].{which}: edges {sorted(bad)} "
-                             "out of range")
+                fault = _transition_fault(t, p.semantics, lvl.width_in,
+                                          lvl.width_out)
+                if fault:
+                    v.append(f"levels[{i}].{which}: {fault}")
         else:
             _check_matrix(lvl, "t0", lvl.t0, p.semantics, v, i)
             _check_matrix(lvl, "t1", lvl.t1, p.semantics, v, i)
@@ -494,26 +518,19 @@ def _decode_transition(raw: Any, semantics: str, width_in: int,
                        width_out: int, where: str) -> Any:
     if not isinstance(raw, list):
         raise ProgramFormatError(f"{where}: expected an array")
-    if semantics == "deterministic":
-        if len(raw) != width_in:
-            raise ProgramFormatError(
-                f"{where}: expected {width_in} successors, got {len(raw)}")
-        for s in raw:
-            if type(s) is not int or not 1 <= s <= width_out:
-                raise ProgramFormatError(
-                    f"{where}: successor {s!r} outside 1..{width_out}")
-        return tuple(raw)
-    if semantics == "nondeterministic":
-        edges = []
-        for e in raw:
-            if (not isinstance(e, list) or len(e) != 2
-                    or any(type(x) is not int for x in e)):
-                raise ProgramFormatError(f"{where}: bad edge {e!r}")
-            if not (1 <= e[0] <= width_in and 1 <= e[1] <= width_out):
-                raise ProgramFormatError(
-                    f"{where}: edge {e} outside level bounds")
-            edges.append((e[0], e[1]))
-        return frozenset(edges)
+    if semantics in ("deterministic", "nondeterministic"):
+        if semantics == "deterministic":
+            t = tuple(raw)
+        else:  # the JSON shape of an edge; its range is checked below
+            for e in raw:
+                if (not isinstance(e, list) or len(e) != 2
+                        or any(type(x) is not int for x in e)):
+                    raise ProgramFormatError(f"{where}: bad edge {e!r}")
+            t = frozenset(map(tuple, raw))
+        fault = _transition_fault(t, semantics, width_in, width_out)
+        if fault:
+            raise ProgramFormatError(f"{where}: {fault}")
+        return t
     if len(raw) != width_in * width_out:
         raise ProgramFormatError(
             f"{where}: expected {width_out}x{width_in} = "

@@ -19,23 +19,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .program import Assignment, Program, all_assignments_array, sweep_rows
+from .program import (Assignment, Program, all_assignments_array, as_rows,
+                      sweep_rows)
 
 _DET, _NONDET = ("deterministic",), ("nondeterministic",)
 _PROB = ("probabilistic", "quantum")
+#: Floating-point error allowed in a probability by computes_bounded_error.
+_SLACK = 1e-9
 
 
-def _bits_of(x: Assignment | str | tuple | list, n: int) -> np.ndarray:
-    """One input as a (1, n) uint8 row."""
-    if isinstance(x, Assignment):
-        bits = x.bits
-    elif isinstance(x, str):
-        bits = Assignment.from_string(x).bits
-    else:
-        bits = Assignment(tuple(x)).bits
-    if len(bits) != n:
-        raise ValueError(f"input has {len(bits)} bits, program reads {n}")
-    return np.array([bits], dtype=np.uint8)
+def _bits_of(x: Assignment | str | tuple | list) -> np.ndarray:
+    """One input as a one-row matrix, for :func:`as_rows` to check."""
+    if isinstance(x, str):
+        x = Assignment.from_string(x)
+    return np.array([x.bits if isinstance(x, Assignment) else tuple(x)])
 
 
 def _compile_level(semantics: str, lvl):
@@ -85,7 +82,7 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
     if p.semantics not in semantics:
         raise ValueError(f"{caller} on a {p.semantics} program")
     # one contiguous 0/1 row per variable; a gather needs integer bits
-    bits = np.ascontiguousarray(np.asarray(xs).T == 1).view(np.uint8)
+    bits = np.ascontiguousarray(as_rows(xs, p.n).T)
     m = bits.shape[1]
     det = p.semantics == "deterministic"
     nondet = p.semantics == "nondeterministic"
@@ -122,7 +119,7 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
 
 def eval_det(p: Program, x) -> int:
     """Run a deterministic program; return 1 iff the reached sink accepts."""
-    return int(_kernel(p, _bits_of(x, p.n), "eval_det", _DET)[0])
+    return int(_kernel(p, _bits_of(x), "eval_det", _DET)[0])
 
 
 def eval_det_batch(p: Program, xs: np.ndarray) -> np.ndarray:
@@ -135,7 +132,7 @@ def eval_det_batch(p: Program, xs: np.ndarray) -> np.ndarray:
 
 def eval_nondet(p: Program, x) -> int:
     """Return 1 iff some path through chosen edges reaches an accepting sink."""
-    return int(_kernel(p, _bits_of(x, p.n), "eval_nondet", _NONDET)[0])
+    return int(_kernel(p, _bits_of(x), "eval_nondet", _NONDET)[0])
 
 
 def eval_nondet_batch(p: Program, xs: np.ndarray) -> np.ndarray:
@@ -145,7 +142,7 @@ def eval_nondet_batch(p: Program, xs: np.ndarray) -> np.ndarray:
 
 def accept_prob(p: Program, x) -> float:
     """Acceptance probability of one input (probabilistic or quantum)."""
-    return float(_kernel(p, _bits_of(x, p.n), "accept_prob", _PROB)[0])
+    return float(_kernel(p, _bits_of(x), "accept_prob", _PROB)[0])
 
 
 def accept_prob_batch(p: Program, xs: np.ndarray) -> np.ndarray:
@@ -159,22 +156,21 @@ def state_trace(p: Program, x) -> list[np.ndarray]:
     Useful for checking conservation step by step: probability mass for
     stochastic programs, Euclidean norm for quantum ones.
     """
-    states = _kernel(p, _bits_of(x, p.n), "state_trace", _PROB, trace=True)
+    states = _kernel(p, _bits_of(x), "state_trace", _PROB, trace=True)
     return [s[0] for s in states]
 
 
 def evaluate(p: Program, x):
     """0/1 for det/nondet programs, an acceptance probability otherwise."""
-    out = _kernel(p, _bits_of(x, p.n), "evaluate", (p.semantics,))[0]
+    out = _kernel(p, _bits_of(x), "evaluate", (p.semantics,))[0]
     return float(out) if p.semantics in _PROB else int(out)
 
 
-def computes_bounded_error(p: Program, f, epsilon: float,
-                           slack: float = 1e-9) -> bool:
+def computes_bounded_error(p: Program, f, epsilon: float) -> bool:
     """Exhaustively check the two-sided error condition against f.
 
     For every input x: f(x) = 1 demands acceptance probability at least
-    1/2 + epsilon, f(x) = 0 demands at most 1/2 - epsilon.  The slack
+    1/2 + epsilon, f(x) = 0 demands at most 1/2 - epsilon.  ``_SLACK``
     absorbs floating-point error in the probabilities themselves.
     Only meaningful for probabilistic and quantum programs, and only
     feasible for n <= program.EXHAUSTIVE_LIMIT; all_assignments_array
@@ -187,6 +183,6 @@ def computes_bounded_error(p: Program, f, epsilon: float,
     xs = all_assignments_array(p.n)
     probs = accept_prob_batch(p, xs)
     # NaN fails both tests, so a NaN probability never passes
-    ok = np.where(sweep_rows(f, xs) == 1, probs >= 0.5 + epsilon - slack,
-                  probs <= 0.5 - epsilon + slack)
+    ok = np.where(sweep_rows(f, xs) == 1, probs >= 0.5 + epsilon - _SLACK,
+                  probs <= 0.5 - epsilon + _SLACK)
     return bool(ok.all())

@@ -89,6 +89,12 @@ def test_count_range_invariant(table, mask):
 def test_truth_table_guard():
     with pytest.raises(ValueError):
         truth_table_of(xor_function(17))
+    with pytest.raises(ValueError, match="^n = 17 exceeds the 2\\^n "
+                                         "materialization guard of 16$"):
+        optimal_order(xor_function(17))
+    with pytest.raises(ValueError, match="^lattice method needs 3 <= n "
+                                         "<= 16, got n = 2$"):
+        optimal_order(xor_function(2))
 
 
 def test_n_theta_known_values():

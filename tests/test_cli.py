@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kobdd import load_program, validate, width
+from kobdd import cli, load_program, validate, width
 from kobdd.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -84,7 +84,7 @@ def test_eval_error_paths(tmp_path, capsys):
     path = str(tmp_path / "p.json")
     _run(capsys, ["build", "mxpj:1,2", "-o", path])
     code, _, err = _run(capsys, ["eval", path, "010"])
-    assert code == 2 and "4" in err
+    assert (code, err) == (2, "error: input length 3 != n = 4\n")
     code, _, _ = _run(capsys, ["eval", str(tmp_path / "missing.json"), "0000"])
     assert code == 2
     bad = tmp_path / "bad.json"
@@ -295,24 +295,54 @@ def test_subfn_min_order_pinned_n14(tmp_path, capsys):
     assert err == "N = 1002\n"
 
 
-@pytest.mark.parametrize("order", [[], ["--order", "min"],
-                                   ["--order", "1,2,3"]])
-def test_subfn_checks_n_before_building_an_order(order):
-    # without the check, the identity order of 10^8 variables alone
-    # exhausts memory; the address-space limit keeps a regression small
+def _run_in_1gb(argv):
+    """``python -m kobdd argv`` in a subprocess with 1 GB of address space."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "kobdd", "subfn", "and:100000000", *order],
-        capture_output=True, text=True, env=env, timeout=120,
-        preexec_fn=limit_memory)
+    return subprocess.run([sys.executable, "-m", "kobdd", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, preexec_fn=limit_memory)
+
+
+@pytest.mark.parametrize("order", [[], ["--order", "min"],
+                                   ["--order", "1,2,3"]])
+def test_subfn_checks_n_before_building_an_order(order):
+    # without the check, the identity order of 10^8 variables alone
+    # exhausts memory; the address-space limit keeps a regression small
+    proc = _run_in_1gb(["subfn", "and:100000000", *order])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("error: n = 100000000 exceeds the 2^n "
                            "materialization guard of 16\n")
+
+
+@pytest.mark.parametrize("cut, message", [
+    ("99", "cut must satisfy 1 < u < 16"),
+    ("1", "cut must satisfy 1 < u < 16"),
+    ("x", "invalid literal for int() with base 10: 'x'"),
+])
+def test_subfn_checks_cut_before_counting(capsys, monkeypatch, cut, message):
+    def never(*args):
+        raise AssertionError("counted before the cut was checked")
+
+    monkeypatch.setattr(cli, "optimal_order", never)
+    monkeypatch.setattr(cli, "subfunction_profile", never)
+    for order in ("min", "id"):
+        code, out, err = _run(capsys, ["subfn", "mxpj:1,4", "--order", order,
+                                       "--cut", cut])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "mxpj:1,4096"],
+    ["bounds", "hi-n", "--k", "2:10000000000", "--w", "8"]])
+def test_out_of_memory_exits_2(argv):
+    proc = _run_in_1gb(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: out of memory\n")
 
 
 def test_subfn_truth_table_file(tmp_path, capsys):

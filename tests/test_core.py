@@ -388,6 +388,31 @@ def test_format_errors_name_position():
         deserialize(json.dumps(doc))
 
 
+@pytest.mark.parametrize("semantics, bad_t1, fault", [
+    ("deterministic", (1, 9), "successors [9] outside 1..2"),
+    ("deterministic", (0, 2), "successors [0] outside 1..2"),
+    ("deterministic", (1,), "expected 2 successor entries"),
+    ("nondeterministic", {(1, 1), (2, 3)}, "edges [(2, 3)] out of range"),
+    ("nondeterministic", {(3, 1), (1, 0)},
+     "edges [(1, 0), (3, 1)] out of range"),
+])
+def test_decoder_and_validate_report_transitions_alike(semantics, bad_t1,
+                                                       fault):
+    if semantics == "deterministic":
+        first = det_level(1, (1, 2), (2, 1), 2)
+        bad = det_level(2, (1, 2), bad_t1, 2)
+    else:
+        first = nondet_level(1, 2, 2, {(1, 1)}, {(1, 2), (2, 1)})
+        bad = nondet_level(2, 2, 2, {(1, 1)}, bad_t1)
+    p = Program(semantics=semantics, n=2, k=1,
+                order=VariableOrder.identity(2), levels=(first, bad),
+                initial=1, accept=frozenset({2}))
+    assert validate(p).violations == (f"levels[1].t1: {fault}",)
+    with pytest.raises(ProgramFormatError) as info:
+        deserialize(serialize(p))
+    assert str(info.value) == f"levels[1].t1: {fault}"
+
+
 def test_nondet_round_trip_preserves_edges():
     rng = random.Random(11)
     p = random_nondet_program(rng, 3, 1)

@@ -13,7 +13,8 @@ from conftest import (det_by_hand, nondet_by_paths, prob_by_hand,
                       random_quantum_program, random_reversible_det_program)
 from kobdd import (Assignment, Program, VariableOrder, accept_prob,
                    accept_prob_batch, all_assignments_array,
-                   compile_to_prob, computes_bounded_error, det_level,
+                   build_mxpj_id_obdd, compile_to_nondet, compile_to_prob,
+                   compile_to_quantum, computes_bounded_error, det_level,
                    eval_det, eval_det_batch, eval_nondet, eval_nondet_batch,
                    evaluate, matrix_level, nondet_level, state_trace,
                    validate)
@@ -145,6 +146,45 @@ def test_quantum_matches_oracle_and_batch(seed):
                                              for a in p.accept)))
 
 
+@pytest.mark.parametrize("compile_, run", [
+    (lambda p: p, eval_det_batch),
+    (compile_to_nondet, eval_nondet_batch),
+    (compile_to_prob, accept_prob_batch),
+    (compile_to_quantum, accept_prob_batch)])
+def test_batch_kernels_check_rows(compile_, run):
+    p = compile_(build_mxpj_id_obdd(1, 2))
+    assert p.n == 4
+
+    def message(rows):
+        with pytest.raises(ValueError) as info:
+            run(p, rows)
+        return str(info.value)
+
+    for bad in (2, -1, 0.5):
+        rows = np.zeros((3, 4), type(bad))
+        rows[1, 2] = bad
+        assert message(rows) == "assignment bits must be 0 or 1"
+    assert message(np.full((2, 4), 2, np.uint8)) == \
+        "assignment bits must be 0 or 1"
+    assert message(np.zeros((2, 7), np.uint8)) == "input length 7 != n = 4"
+    assert message(np.zeros((2, 3), np.uint8)) == "input length 3 != n = 4"
+    assert message(np.zeros(4, np.uint8)) == \
+        "rows must form an (m, 4) matrix, got shape (4,)"
+    assert run(p, np.zeros((0, 4), np.uint8)).shape == (0,)
+
+
+def test_scalar_evaluators_check_rows():
+    p = _xor_program()
+    for x in ("1", (1, 0, 1), Assignment((1,))):
+        with pytest.raises(ValueError, match=r"^input length \d != n = 2$"):
+            evaluate(p, x)
+    with pytest.raises(ValueError, match="^assignment bits must be 0 or 1$"):
+        eval_det(p, [1, 2])
+    q = compile_to_prob(p)
+    with pytest.raises(ValueError, match=r"^input length 3 != n = 2$"):
+        state_trace(q, "101")
+
+
 def test_accepts_strings_and_tuples():
     p = _xor_program()
     assert eval_det(p, "10") == 1
@@ -254,7 +294,6 @@ def test_bounded_error_guards():
 
 def test_reversible_det_programs_run_everywhere():
     rng = random.Random(29)
-    from kobdd import compile_to_nondet, compile_to_prob, compile_to_quantum
     for _ in range(5):
         p = random_reversible_det_program(rng, n=4, k=2, w=4)
         xs = all_assignments_array(4)
