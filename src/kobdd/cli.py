@@ -70,34 +70,45 @@ def _parse_constants(text: str | None) -> Constants:
     return Constants(**values)
 
 
-def _parse_axis(text: str) -> list[int]:
-    """Comma list of integers and ranges: 8, 2:64, 8:1024:x2, 4:20:+4."""
+#: Most points one ``bounds`` axis may hold.
+AXIS_LIMIT = 10_000
+
+
+def _parse_axis(text: str, name: str) -> list[int]:
+    """Comma list of integers and ranges: 8, 2:64, 8:1024:x2, 4:20:+4.
+
+    A range is cut off past AXIS_LIMIT points before it is built, so an
+    axis too long to build is rejected at no cost.
+    """
     points: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if ":" not in token:
             points.append(int(token))
-            continue
-        parts = token.split(":")
-        if len(parts) == 2:
-            lo, hi, step = int(parts[0]), int(parts[1]), "+1"
-        elif len(parts) == 3:
-            lo, hi, step = int(parts[0]), int(parts[1]), parts[2]
         else:
-            raise ValueError(f"bad range {token!r}")
-        if step.startswith("x"):
-            factor = int(step[1:])
-            if factor < 2 or lo < 1:
-                raise ValueError(f"bad geometric range {token!r}")
-            v = lo
-            while v <= hi:
-                points.append(v)
-                v *= factor
-        else:
-            stride = int(step.lstrip("+"))
-            if stride < 1:
-                raise ValueError(f"bad range stride {token!r}")
-            points.extend(range(lo, hi + 1, stride))
+            parts = token.split(":")
+            if len(parts) == 2:
+                lo, hi, step = int(parts[0]), int(parts[1]), "+1"
+            elif len(parts) == 3:
+                lo, hi, step = int(parts[0]), int(parts[1]), parts[2]
+            else:
+                raise ValueError(f"bad range {token!r}")
+            if step.startswith("x"):
+                factor = int(step[1:])
+                if factor < 2 or lo < 1:
+                    raise ValueError(f"bad geometric range {token!r}")
+                v = lo
+                while v <= hi and len(points) <= AXIS_LIMIT:
+                    points.append(v)
+                    v *= factor
+            else:
+                stride = int(step.lstrip("+"))
+                if stride < 1:
+                    raise ValueError(f"bad range stride {token!r}")
+                points.extend(range(lo, hi + 1, stride)[:AXIS_LIMIT + 1])
+        if len(points) > AXIS_LIMIT:
+            raise ValueError(f"{name} axis has more than {AXIS_LIMIT} "
+                             "points")
     if not points:
         raise ValueError("empty axis")
     return points
@@ -279,7 +290,7 @@ def _cmd_bounds(args) -> int:
     else:
         raise ValueError(f"unknown chain {args.chain!r}; choose from "
                          f"{', '.join(CHAINS)} or all")
-    ks = _parse_axis(args.k) if args.k else None
+    ks = _parse_axis(args.k, "--k") if args.k else None
     rows = []
     worst = None
     for chain in chains:
@@ -289,7 +300,7 @@ def _cmd_bounds(args) -> int:
             raise ValueError(f"chain {chain} is parameterized by d, not w")
         if args.d and size_name != "d":
             raise ValueError(f"chain {chain} is parameterized by w, not d")
-        sizes = _parse_axis(axis) if axis else None
+        sizes = _parse_axis(axis, f"--{size_name}") if axis else None
         for r in _bounds_rows(chain, ks, sizes, constants):
             rows.append([r.chain, r.k,
                          "" if r.w is None else r.w,

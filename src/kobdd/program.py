@@ -39,6 +39,15 @@ Nondeterministic transitions are arrays of [source, target] pairs.
 Matrices are flattened row-major; real entries are decimal strings and
 complex entries are {"re": str, "im": str} objects, both produced with
 ``repr`` so that a round trip through the file is bit-exact.
+
+:func:`serialize` writes exactly ``json.dumps(doc, indent=1,
+sort_keys=True)``.  :func:`deserialize` reads a text in that layout
+without parsing it whole: it cuts the text at the writer's fixed
+punctuation and decodes each piece with ``json.loads`` -- the header
+once, each deterministic or nondeterministic transition once, each
+distinct matrix entry once.  The header must re-dump to its own text.
+Any other text, and any text with an error, is parsed whole by
+``json.loads``, and that path alone words every error.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from typing import Any, Iterable, NoReturn
 
@@ -556,22 +565,8 @@ def _decode_transition(raw: Any, semantics: str, width_in: int,
     return _frozen_array(m.reshape(width_out, width_in))
 
 
-def deserialize(text: str) -> Program:
-    """Decode a JSON program document, rejecting malformed input.
-
-    Structural problems (bad JSON, unknown semantics, shape or range
-    mismatches, unparseable numbers) raise :class:`ProgramFormatError`
-    with the offending location in the message.  Semantic invariants
-    (unitarity, column sums, order consistency) are :func:`validate`'s
-    job, so a structurally sound but invalid program still decodes.
-    """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise ProgramFormatError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ProgramFormatError("top level: expected an object")
-
+def _decode_header(doc: dict) -> dict:
+    """Every Program field of a document but its levels, checked."""
     if "format" in doc and doc["format"] != FORMAT_TAG:
         raise ProgramFormatError(f"format: unknown tag {doc['format']!r}")
     semantics = _want(doc, "semantics", str, "top level")
@@ -599,30 +594,151 @@ def deserialize(text: str) -> Program:
     if epsilon is not None and (type(epsilon) is bool
                                 or not isinstance(epsilon, (int, float))):
         raise ProgramFormatError("epsilon: expected a number or null")
+    return {"semantics": semantics, "n": n, "k": k, "order": order,
+            "initial": initial, "accept": frozenset(raw_accept),
+            "epsilon": float(epsilon) if epsilon is not None else None}
 
+
+def _decode_level(rl: Any, where: str, semantics: str,
+                  transition=_decode_transition) -> TransitionLevel:
+    if not isinstance(rl, dict):
+        raise ProgramFormatError(f"{where}: expected an object")
+    var = _want(rl, "var", int, where)
+    w_in = _want(rl, "width_in", int, where)
+    w_out = _want(rl, "width_out", int, where)
+    if w_in < 1 or w_out < 1:
+        raise ProgramFormatError(f"{where}: widths must be positive")
+    t0 = transition(_want(rl, "t0", list, where), semantics, w_in, w_out,
+                    f"{where}.t0")
+    t1 = transition(_want(rl, "t1", list, where), semantics, w_in, w_out,
+                    f"{where}.t1")
+    return TransitionLevel(var, w_in, w_out, t0, t1)
+
+
+# The writer's own layout, as _read_layout cuts it.  Every piece between
+# these literals is decoded by json.loads itself, and JSON has one parse
+# for a given text, so a text read this way decodes as json.loads of the
+# whole text would decode it.
+
+_LEVELS = '\n "levels": [\n'
+#: The text before, between and after the five fields of a level.
+_LEVEL = ('  {\n   "t0": ', ',\n   "t1": ', ',\n   "var": ',
+          ',\n   "width_in": ', ',\n   "width_out": ', '\n  }')
+#: A matrix transition's text before its first item, between two items
+#: and after its last; quantum items are cut inside their braces.
+_ITEMS = {"probabilistic": ("[\n    ", ",\n    ", "\n   ]"),
+          "quantum": ("[\n    {", "},\n    {", "}\n   ]")}
+
+
+def _cut_items(semantics: str, body: str) -> list[str]:
+    first, sep, last = _ITEMS[semantics]
+    if not (body.startswith(first) and body.endswith(last)):
+        raise ValueError("not the writer's layout")
+    return body[len(first):len(body) - len(last)].split(sep)
+
+
+def _decode_items(items: list[str], semantics: str, width_in: int,
+                  width_out: int, where: str) -> np.ndarray:
+    """The matrix of items cut by :func:`_cut_items`; each distinct item
+    is decoded once, as :func:`_decode_transition` decodes an entry."""
+    if len(items) != width_in * width_out:
+        raise ValueError("wrong entry count")
+    table = dict.fromkeys(items)
+    for item in table:
+        if semantics == "probabilistic":
+            table[item] = _parse_number(json.loads(item), where)
+        else:
+            cell = json.loads("{" + item + "}")
+            if set(cell) != {"re", "im"}:
+                raise ValueError("not a complex entry")
+            table[item] = complex(_parse_number(cell["re"], where),
+                                  _parse_number(cell["im"], where))
+    dtype = np.float64 if semantics == "probabilistic" else np.complex128
+    m = np.fromiter(map(table.__getitem__, items), dtype, len(items))
+    return _frozen_array(m.reshape(width_out, width_in))
+
+
+def _read_layout(text: str) -> Program | None:
+    """The program in ``text`` if it is laid out exactly as serialize (or
+    save_program, with its newline) writes it and decodes cleanly; None
+    otherwise, so that the json.loads path reads it and names any error.
+
+    The text is scanned by index: only transition bodies are copied out.
+    """
+    start = text.find(_LEVELS)
+    if start < 0:
+        return None
+    pos, levels = start + len(_LEVELS), []
+    while text.startswith(_LEVEL[0], pos):
+        pos += len(_LEVEL[0])
+        spans = []
+        for lit in _LEVEL[1:]:
+            end = text.find(lit, pos)
+            if end < 0:
+                return None
+            spans.append(slice(pos, end))
+            pos = end + len(lit)
+        levels.append(spans)
+        if text.startswith("\n ]", pos):
+            break
+        if not text.startswith(",\n", pos):
+            return None
+        pos += 2
+    else:
+        return None
+    head = text[:start] + '\n "levels": null' + text[pos + 3:]
+    head = head[:-1] if head.endswith("\n") else head
+    try:
+        doc = json.loads(head)
+        # the re-dump rules out other whitespace, escaped and repeated keys
+        if (not isinstance(doc, dict)
+                or json.dumps(doc, indent=1, sort_keys=True) != head):
+            return None
+        fields = _decode_header(doc)
+        semantics = fields["semantics"]
+        if semantics in _ITEMS:
+            read, transition = partial(_cut_items, semantics), _decode_items
+        else:
+            read, transition = json.loads, _decode_transition
+        decoded = []
+        for t0, t1, *numbers in levels:
+            rl = dict(zip(("var", "width_in", "width_out"),
+                          (json.loads(text[s]) for s in numbers)),
+                      t0=read(text[t0]), t1=read(text[t1]))
+            decoded.append(_decode_level(rl, "", semantics, transition))
+    except (ValueError, RecursionError):
+        return None
+    return Program(levels=tuple(decoded), **fields)
+
+
+def deserialize(text: str) -> Program:
+    """Decode a JSON program document, rejecting malformed input.
+
+    Structural problems (bad JSON, unknown semantics, shape or range
+    mismatches, unparseable numbers) raise :class:`ProgramFormatError`
+    with the offending location in the message.  Semantic invariants
+    (unitarity, column sums, order consistency) are :func:`validate`'s
+    job, so a structurally sound but invalid program still decodes.
+
+    A text in the writer's own layout is read by :func:`_read_layout`;
+    every other text, and every error, takes json.loads of the whole text.
+    """
+    program = _read_layout(text)
+    if program is not None:
+        return program
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise ProgramFormatError(f"invalid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ProgramFormatError("top level: expected an object")
+    fields = _decode_header(doc)
     raw_levels = _want(doc, "levels", list, "top level")
     if not raw_levels:
         raise ProgramFormatError("levels: empty")
-    levels = []
-    for i, rl in enumerate(raw_levels):
-        where = f"levels[{i}]"
-        if not isinstance(rl, dict):
-            raise ProgramFormatError(f"{where}: expected an object")
-        var = _want(rl, "var", int, where)
-        w_in = _want(rl, "width_in", int, where)
-        w_out = _want(rl, "width_out", int, where)
-        if w_in < 1 or w_out < 1:
-            raise ProgramFormatError(f"{where}: widths must be positive")
-        t0 = _decode_transition(_want(rl, "t0", list, where),
-                                semantics, w_in, w_out, f"{where}.t0")
-        t1 = _decode_transition(_want(rl, "t1", list, where),
-                                semantics, w_in, w_out, f"{where}.t1")
-        levels.append(TransitionLevel(var, w_in, w_out, t0, t1))
-
-    return Program(semantics=semantics, n=n, k=k, order=order,
-                   levels=tuple(levels), initial=initial,
-                   accept=frozenset(raw_accept),
-                   epsilon=float(epsilon) if epsilon is not None else None)
+    levels = tuple(_decode_level(rl, f"levels[{i}]", fields["semantics"])
+                   for i, rl in enumerate(raw_levels))
+    return Program(levels=levels, **fields)
 
 
 def save_program(p: Program, path: str) -> None:

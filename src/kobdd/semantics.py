@@ -54,17 +54,32 @@ def _compile_level(semantics: str, lvl):
     return lvl.t0.T, lvl.t1.T
 
 
+def _is_identity(lvl, ops) -> bool:
+    """True iff both operators of a level are the exact identity, bit for
+    bit: an identity holding -0.0 entries still runs."""
+    w = lvl.width_in
+    if w != lvl.width_out:
+        return False
+    eye = np.eye(w) if ops[0].ndim == 2 else np.arange(w)
+    eye = eye.astype(ops[0].dtype)
+    return all(op.tobytes() == eye.tobytes() for op in ops)
+
+
 def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
     """(0-based variable, operators) per level, built once per Program.
 
+    An identity level's operators are None, and the kernel skips it.
     The list is kept in the instance dict, as functools.cached_property
     does; Program and its levels are frozen, so it never goes stale.
     """
     levels = p.__dict__.get("_kernel_levels")
     if levels is None:
-        levels = tuple((lvl.variable - 1, _compile_level(p.semantics, lvl))
-                       for lvl in p.levels)
-        p.__dict__["_kernel_levels"] = levels
+        levels = []
+        for lvl in p.levels:
+            ops = _compile_level(p.semantics, lvl)
+            levels.append((lvl.variable - 1,
+                           None if _is_identity(lvl, ops) else ops))
+        levels = p.__dict__["_kernel_levels"] = tuple(levels)
     return levels
 
 
@@ -95,11 +110,13 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
     # only a trace keeps old states; otherwise each (m, width) one is freed
     states = [state] if trace else None
     for var, ops in _compiled(p):
-        b = bits[var]
-        if det:
-            state = ops[b, state]
+        if ops is None:
+            pass
+        elif det:
+            state = ops[bits[var], state]
         else:
-            state = np.where(b[:, None], state @ ops[1], state @ ops[0])
+            state = np.where(bits[var][:, None], state @ ops[1],
+                             state @ ops[0])
             if nondet:
                 # stay a 0/1 indicator: unclamped path counts overflow
                 np.minimum(state, 1, out=state)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kobdd import cli, load_program, validate, width
+from kobdd import cli, load_program, serialize, validate, width
 from kobdd.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -337,12 +337,25 @@ def test_subfn_checks_cut_before_counting(capsys, monkeypatch, cut, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["build", "mxpj:1,4096"],
-    ["bounds", "hi-n", "--k", "2:10000000000", "--w", "8"]])
+    ["build", "mxpj:1,4096"]])
 def test_out_of_memory_exits_2(argv):
     proc = _run_in_1gb(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("axes, name", [
+    (["--k", "2:10000000000", "--w", "8"], "--k"),
+    (["--k", "2", "--w", "1:10" + "0" * 4000 + ":x2"], "--w"),
+    (["--k", "1,2:10001", "--w", "8"], "--k")],
+    ids=["range", "geometric", "list"])
+def test_bounds_axis_budget(axes, name):
+    # counted before any point is built: the address-space limit keeps a
+    # regression that builds the range small
+    proc = _run_in_1gb(["bounds", "hi-n", *axes])
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"error: {name} axis has more than {cli.AXIS_LIMIT} "
+                "points\n")
 
 
 def test_subfn_truth_table_file(tmp_path, capsys):
@@ -462,6 +475,29 @@ def test_build_files_are_pinned(tmp_path, capsys, descriptor, digest):
     code, _, _ = _run(capsys, ["build", descriptor, "-o", str(path)])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("descriptor", [
+    f"mxpj:{size}{emb}" for size in ("1,4", "2,8")
+    for emb in ("", ",nondet", ",prob", ",quantum")] + ["saf:2,2,57",
+                                                      "saf:3,4,300"])
+def test_built_files_take_the_layout_read(tmp_path, capsys, monkeypatch,
+                                          descriptor):
+    path = tmp_path / "p.json"
+    assert _run(capsys, ["build", descriptor, "-o", str(path)])[0] == 0
+    text = path.read_text()
+    lengths = []
+    loads = json.loads
+
+    def spy(s, *args, **kwargs):
+        lengths.append(len(s))
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    p = load_program(str(path))
+    assert lengths and max(lengths) < len(text) // 2   # no whole-text parse
+    monkeypatch.undo()
+    assert serialize(p) + "\n" == text
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (random_det_program, random_nondet_program,
 from kobdd import (Assignment, Program, ProgramFormatError, VariableOrder,
                    all_assignments_array, deserialize, det_level,
                    matrix_level, nondet_level, serialize, validate, width)
-from kobdd.program import sweep_rows
+from kobdd.program import _read_layout, sweep_rows
 
 
 # ---------------------------------------------------------------------------
@@ -372,12 +373,149 @@ def test_malformed_documents_rejected():
 
     assert len(cases) >= 6
     for doc in cases:
-        with pytest.raises(ProgramFormatError):
-            deserialize(json.dumps(doc))
+        errors = []
+        # compact text takes json.loads; the writer's layout is read first
+        for text in (json.dumps(doc),
+                     json.dumps(doc, indent=1, sort_keys=True)):
+            with pytest.raises(ProgramFormatError) as info:
+                deserialize(text)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
     with pytest.raises(ProgramFormatError):
         deserialize("{ not json")
     with pytest.raises(ProgramFormatError, match="invalid JSON"):
         deserialize("[" * 200000 + "]" * 200000)     # deeper than the stack
+
+
+def _outcome(text: str):
+    """deserialize's program, or its error text."""
+    try:
+        return deserialize(text)
+    except ProgramFormatError as e:
+        return str(e)
+
+
+def _outcome_via_json(text: str):
+    """What the json.loads path makes of text: the outcome on its compact
+    re-dump, or the ``invalid JSON`` error where json.loads rejects it."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        return f"invalid JSON: {e}"
+    return _outcome(json.dumps(doc))
+
+
+def _assert_read_as_json_reads(text: str) -> None:
+    got, want = _outcome(text), _outcome_via_json(text)
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+    else:
+        assert got.structurally_equal(want)
+
+
+_SENTINEL = "@@value@@"
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value below the top level of a JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _put(text: str, path, raw: str) -> str:
+    """The writer's layout of text's document, with the value at path
+    replaced by the raw text ``raw``."""
+    doc = json.loads(text)
+    _at(doc, path[:-1])[path[-1]] = _SENTINEL
+    layout = json.dumps(doc, indent=1, sort_keys=True)
+    return layout.replace(json.dumps(_SENTINEL), raw, 1)
+
+
+# raw JSON text (or not JSON at all) put in place of one value
+_RAW_VALUES = ['0.5', '"0.5"', '"\t1.0"', '" 1.0"', '"1_0"', '"NaN"', 'NaN',
+               '"1e999"', '"\\u0031.0"', '"-0.0"', '1', '-0', '01', 'true',
+               'null', '[]', '{}', '{"re": "1.0", "im": "0.0"}',
+               '{"im": "0.0", "re": "1.0", "re": "2.0"}', '[1, 2]', '[0, 1]']
+
+
+def _program_text(semantics: str, seed: int) -> str:
+    return serialize(random_program(random.Random(seed), semantics, n=2,
+                                    k=1, wmax=3))
+
+
+@pytest.mark.parametrize("semantics", ["deterministic", "nondeterministic",
+                                       "probabilistic", "quantum"])
+def test_layout_read_agrees_with_json_on_edge_cases(semantics):
+    text = _program_text(semantics, 5)
+    texts = [text, text + "\n", text + "\n\n", " " + text, text + " "]
+    # json.loads keeps the last of repeated keys
+    before_n = text.index(',\n "n": ')
+    for entry in ('"levels": 1', '"levels": []', '"n": 2', '"zz": 1'):
+        texts.append(f"{text[:before_n]},\n {entry}{text[before_n:]}")
+    texts.append(text.replace('"k": 1', '"\\u006b": 1'))
+    texts.append(text.replace('"k": 1', '"k":1'))
+    # another program's levels array, under a key sorted before "accept"
+    other = _program_text(semantics, 6)
+    levels = other[other.index('\n "levels": ['):other.index(',\n "n": ')]
+    texts.append(text.replace("{\n", '{\n "aa": {' + levels + "},\n", 1))
+    for path in _leaf_paths(json.loads(text)["levels"][0], ("levels", 0)):
+        texts += [_put(text, path, raw) for raw in _RAW_VALUES]
+    for t in texts:
+        _assert_read_as_json_reads(t)
+
+
+_CHARS = '0123456789"{}[],: \n\t-+.eE\\a\x00'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["deterministic", "nondeterministic",
+                        "probabilistic", "quantum"]),
+       st.integers(0, 10 ** 6), st.data())
+def test_layout_read_agrees_with_json_on_mutated_files(semantics, seed,
+                                                       data):
+    text = _program_text(semantics, seed)
+    kind = data.draw(st.sampled_from(["char", "drop", "value", "entry"]))
+    if kind == "entry":                 # one more top-level key
+        ends = [m.start() for m in re.finditer(r",\n \"|\n\}$", text)]
+        at = data.draw(st.sampled_from(ends))
+        key = data.draw(st.sampled_from(["levels", "n", "aa", "zz"]))
+        value = data.draw(st.sampled_from(["1", "[]", "null"]))
+        text = f'{text[:at]},\n "{key}": {value}{text[at:]}'
+    elif kind == "char":
+        at = data.draw(st.integers(0, len(text) - 1))
+        new = data.draw(st.sampled_from(["", *_CHARS]))
+        skip = data.draw(st.integers(0, 1))
+        text = text[:at] + new + text[at + skip:]
+    else:
+        doc = json.loads(text)
+        paths = list(_leaf_paths(doc))
+        if kind == "drop":
+            paths = [p for p in paths if isinstance(p[-1], int)]
+        path = data.draw(st.sampled_from(paths))
+        if kind == "drop":
+            del _at(doc, path[:-1])[path[-1]]
+            text = json.dumps(doc, indent=1, sort_keys=True)
+        else:
+            text = _put(text, path, data.draw(st.sampled_from(_RAW_VALUES)))
+    _assert_read_as_json_reads(text)
+
+
+@pytest.mark.parametrize("name", sorted(_ENCODER_CASES))
+def test_writer_texts_take_the_layout_read(name):
+    text = serialize(_ENCODER_CASES[name])
+    for t in (text, text + "\n"):                 # save_program's newline
+        p = _read_layout(t)
+        assert p is not None
+        assert p.structurally_equal(_outcome_via_json(t))
 
 
 def test_format_errors_name_position():

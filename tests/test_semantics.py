@@ -7,10 +7,12 @@ import random
 import numpy as np
 import pytest
 
+import kobdd.semantics as kernel
 from conftest import (det_by_hand, nondet_by_paths, prob_by_hand,
                       quantum_by_hand, random_det_program,
                       random_nondet_program, random_prob_program,
-                      random_quantum_program, random_reversible_det_program)
+                      random_program, random_quantum_program,
+                      random_reversible_det_program)
 from kobdd import (Assignment, Program, VariableOrder, accept_prob,
                    accept_prob_batch, all_assignments_array,
                    build_mxpj_id_obdd, compile_to_nondet, compile_to_prob,
@@ -363,3 +365,67 @@ def test_batch_row_dtypes_agree(dtype, make, run):
         got = run(p, xs.astype(dtype))
         assert got.dtype == np.uint8
         assert np.array_equal(got, want)
+
+
+def _identity_level(semantics: str, var: int, w: int, zero: float):
+    if semantics == "deterministic":
+        return det_level(var, range(1, w + 1), range(1, w + 1), w)
+    if semantics == "nondeterministic":
+        loops = {(i, i) for i in range(1, w + 1)}
+        return nondet_level(var, w, w, loops, loops)
+    eye = np.where(np.eye(w) == 1, 1.0, zero)
+    if semantics == "quantum":
+        eye = eye.astype(complex)          # keeps the sign of each zero
+    return matrix_level(var, eye, eye)
+
+
+def _with_identities(p: Program, zero: float = 0.0) -> Program:
+    """p over 2n variables: each level of p, testing v, is followed by an
+    identity level testing n + v, whose off-diagonal entries are zero."""
+    levels = []
+    for lvl in p.levels:
+        levels += [lvl, _identity_level(p.semantics, p.n + lvl.variable,
+                                        lvl.width_out, zero)]
+    order = tuple(v for u in p.order.perm for v in (u, p.n + u))
+    return dataclasses.replace(p, n=2 * p.n, order=VariableOrder(order),
+                               levels=tuple(levels))
+
+
+def _run_all(p: Program, xs: np.ndarray) -> list[bytes]:
+    """Outputs and every traced state of the kernel, as bytes."""
+    out = kernel._kernel(p, xs, "test", (p.semantics,))
+    states = kernel._kernel(p, xs, "test", (p.semantics,), trace=True)
+    return [out.tobytes()] + [s.tobytes() for s in states]
+
+
+@pytest.mark.parametrize("semantics", ["deterministic", "nondeterministic",
+                                       "probabilistic", "quantum"])
+def test_identity_levels_are_skipped_bit_exactly(monkeypatch, semantics):
+    for seed in range(4):
+        p = random_program(random.Random(seed), semantics, n=3, k=2)
+        q = _with_identities(p)
+        assert validate(q).ok
+        ops = [o for _, o in kernel._compiled(q)]
+        assert all(o is None for o in ops[1::2])
+        xs = all_assignments_array(q.n)
+        skipped = _run_all(q, xs)
+        assert len(skipped) == 1 + q.k * q.n + 1
+        # the identity levels read variables that p does not have
+        assert skipped[0] == kernel._kernel(p, xs[:, :p.n], "test",
+                                            (semantics,)).tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "_is_identity", lambda lvl, ops: False)
+            run = dataclasses.replace(q)        # no compiled levels yet
+            assert all(o is not None for _, o in kernel._compiled(run))
+            assert _run_all(run, xs) == skipped
+
+
+@pytest.mark.parametrize("semantics", ["probabilistic", "quantum"])
+def test_identity_with_negative_zeros_is_not_skipped(semantics):
+    p = random_program(random.Random(1), semantics, n=2, k=1)
+    q = _with_identities(p, zero=-0.0)
+    assert any(lvl.width_out > 1 for lvl in p.levels)
+    # a 1x1 identity has no zero to carry a sign
+    for (_, ops), lvl in zip(kernel._compiled(q)[1::2], p.levels):
+        assert (ops is None) == (lvl.width_out == 1)
+    assert len(state_trace(q, "0110")) == q.k * q.n + 1
