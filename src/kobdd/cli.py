@@ -20,8 +20,10 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -46,11 +48,11 @@ def _say(text: str) -> None:
     print(text, file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _emit(text: str, out: str | None, end: str = "") -> None:
+    """text, then end, to out or stdout: a long text is not copied."""
+    with (contextlib.nullcontext(sys.stdout) if out is None
+          else Path(out).open("w")) as fh:
+        fh.writelines((text, end))
 
 
 def _parse_constants(text: str | None) -> Constants:
@@ -72,6 +74,8 @@ def _parse_constants(text: str | None) -> Constants:
 
 #: Most points one ``bounds`` axis may hold.
 AXIS_LIMIT = 10_000
+#: Most points, over all chains, one ``bounds`` grid may hold.
+GRID_LIMIT = 100_000
 
 
 def _parse_axis(text: str, name: str) -> list[int]:
@@ -186,7 +190,7 @@ def _cmd_build(args) -> int:
                          + "; ".join(report.violations))
     _say(f"{program.semantics} program: n={program.n} layers={program.k} "
          f"width={width(program)}")
-    _emit(serialize(program) + "\n", args.out)
+    _emit(serialize(program), args.out, "\n")
     return 0
 
 
@@ -264,21 +268,6 @@ def _cmd_subfn(args) -> int:
     return 0
 
 
-def _bounds_rows(chain: str, ks, sizes, constants: Constants):
-    size_name = CHAIN_SIZE[chain]
-    if ks is None or sizes is None:
-        grid = default_grid(chain)
-        if ks is None:
-            ks = sorted({g["k"] for g in grid})
-        if sizes is None:
-            sizes = sorted({g[size_name] for g in grid})
-    for size in sizes:
-        for k in ks:
-            params = {"k": k, size_name: size}
-            yield check_chain(chain, constants=constants, strict=False,
-                              **params)
-
-
 def _cmd_bounds(args) -> int:
     constants = _parse_constants(args.constants)
     if args.chain == "all":
@@ -291,8 +280,7 @@ def _cmd_bounds(args) -> int:
         raise ValueError(f"unknown chain {args.chain!r}; choose from "
                          f"{', '.join(CHAINS)} or all")
     ks = _parse_axis(args.k, "--k") if args.k else None
-    rows = []
-    worst = None
+    grids = []
     for chain in chains:
         size_name = CHAIN_SIZE[chain]
         axis = args.w if size_name == "w" else args.d
@@ -300,26 +288,34 @@ def _cmd_bounds(args) -> int:
             raise ValueError(f"chain {chain} is parameterized by d, not w")
         if args.d and size_name != "d":
             raise ValueError(f"chain {chain} is parameterized by w, not d")
-        sizes = _parse_axis(axis, f"--{size_name}") if axis else None
-        for r in _bounds_rows(chain, ks, sizes, constants):
-            rows.append([r.chain, r.k,
-                         "" if r.w is None else r.w,
-                         "" if r.d is None else r.d,
-                         r.constants.describe(),
-                         f"{r.reduced_width:.6f}",
-                         f"{r.lhs_log2:.6f}", f"{r.rhs_log2:.6f}",
-                         f"{r.margin:.6f}",
-                         int(r.in_regime), r.note])
-            if worst is None or r.margin < worst:
-                worst = r.margin
+        grid = default_grid(chain)
+        grids.append((chain, size_name, ks or sorted({g["k"] for g in grid}),
+                      _parse_axis(axis, f"--{size_name}") if axis
+                      else sorted({g[size_name] for g in grid})))
+    total = sum(len(k_axis) * len(sizes) for *_, k_axis, sizes in grids)
+    if total > GRID_LIMIT:
+        raise ValueError(f"grid has {total} points, more than {GRID_LIMIT}")
+    worst = float("inf")
+
+    def rows():     # made as they are written; no report is kept
+        nonlocal worst
+        for chain, size_name, k_axis, sizes in grids:
+            for size, k in itertools.product(sizes, k_axis):
+                r = check_chain(chain, constants=constants, strict=False,
+                                k=k, **{size_name: size})
+                worst = min(worst, r.margin)
+                yield [r.chain, r.k, "" if r.w is None else r.w,
+                       "" if r.d is None else r.d, r.constants.describe(),
+                       f"{r.reduced_width:.6f}", f"{r.lhs_log2:.6f}",
+                       f"{r.rhs_log2:.6f}", f"{r.margin:.6f}",
+                       int(r.in_regime), r.note]
+
     _write_csv(["chain", "k", "w", "d", "constants", "reduced_width",
                 "lhs_log2", "rhs_log2", "margin", "in_regime", "note"],
-               rows, args.out)
-    ok = worst is not None and worst > 0
-    _say(f"{len(rows)} rows, minimum margin {worst:.6f}, "
-         + ("all positive" if ok else "not all positive")
-         if worst is not None else "0 rows")
-    return 0 if ok else 1
+               rows(), args.out)
+    _say(f"{total} rows, minimum margin {worst:.6f}, "
+         + ("all positive" if worst > 0 else "not all positive"))
+    return 0 if worst > 0 else 1
 
 
 def _cmd_validate(args) -> int:
@@ -334,7 +330,7 @@ def _cmd_validate(args) -> int:
 
 
 def _write_csv(header: list[str], rows, out: str | None) -> None:
-    text = io.StringIO()
+    text = io.StringIO()        # emitted once all rows are made, or none
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

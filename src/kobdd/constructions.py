@@ -19,12 +19,22 @@ from __future__ import annotations
 import numpy as np
 
 from .functions import SAFLayout, _check_mxpj_size
-from .program import (Program, VariableOrder, det_level, matrix_level,
-                      nondet_level)
+from .program import (Program, VariableOrder, _memo, det_level,
+                      matrix_level, nondet_level)
 
 
 class NonReversibleError(ValueError):
     """A level map is not a bijection, so no permutation embedding exists."""
+
+
+#: Most nodes, summed over levels, a builder makes; checked before work.
+NODE_LIMIT = 10 ** 7
+
+
+def _check_nodes(levels: int, width: int) -> None:
+    if levels * width > NODE_LIMIT:
+        raise ValueError(f"{levels} levels of up to {width} nodes exceed "
+                         f"the build budget of {NODE_LIMIT} nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +54,7 @@ def build_mxpj_id_obdd(k: int, d: int) -> Program:
     _check_mxpj_size(k, d)
     t = (d - 1).bit_length()
     n = 2 * k * d * t
+    _check_nodes(k * n, d * d)
     size = d * d
     identity = tuple(range(1, size + 1))
 
@@ -103,6 +114,7 @@ def build_saf_2k_obdd(k: int, w: int, n: int) -> Program:
     need a fourth matching status per slot (at most 4w+1 total).
     """
     layout = SAFLayout(n=n, k=k, w=w)
+    _check_nodes(2 * k * n, 4 * w + 1)
     a, covered = layout.a, layout.covered
     c_k, c_w = layout.addr_k_bits, layout.addr_w_bits
 
@@ -198,11 +210,17 @@ def _require_deterministic(p: Program, who: str) -> None:
                          f"got {p.semantics}")
 
 
-def _successor_matrix(t: tuple, width_out: int, dtype) -> np.ndarray:
-    """The 0/1 (width_out, len(t)) matrix routing node i to successor t[i]."""
-    m = np.zeros((width_out, len(t)), dtype=dtype)
-    m[np.asarray(t) - 1, np.arange(len(t))] = 1.0
-    return m
+def _successor_matrices(dtype):
+    """(t, width_out) -> the frozen 0/1 (width_out, len(t)) matrix routing
+    node i to successor t[i], made once per distinct key in one call."""
+    def make(t: tuple, width_out: int) -> np.ndarray:
+        m = np.zeros((width_out, len(t)), dtype=dtype)
+        m[np.asarray(t) - 1, np.arange(len(t))] = 1.0
+        m.setflags(write=False)
+        return m
+    # keyed on the types too: (1.0, 2) == (1, 2), but only ints index
+    return _memo(lambda t, width_out: (tuple(t), tuple(map(type, t)),
+                                       width_out), make)
 
 
 def compile_to_quantum(p: Program) -> Program:
@@ -214,6 +232,7 @@ def compile_to_quantum(p: Program) -> Program:
     """
     _require_deterministic(p, "compile_to_quantum")
     size = p.levels[0].width_in
+    matrix = _successor_matrices(np.complex128)
     levels = []
     for idx, lvl in enumerate(p.levels, start=1):
         if lvl.width_in != size or lvl.width_out != size:
@@ -225,7 +244,7 @@ def compile_to_quantum(p: Program) -> Program:
             if sorted(t) != list(range(1, size + 1)):
                 raise NonReversibleError(
                     f"level {idx}: {which} is not a bijection")
-            mats.append(_successor_matrix(t, size, np.complex128))
+            mats.append(matrix(t, size))
         levels.append(matrix_level(lvl.variable, mats[0], mats[1]))
     return Program(semantics="quantum", n=p.n, k=p.k, order=p.order,
                    levels=tuple(levels), initial=p.initial,
@@ -248,10 +267,10 @@ def compile_to_nondet(p: Program) -> Program:
 def compile_to_prob(p: Program) -> Program:
     """0-1 column-stochastic embedding; all probabilities stay 0 or 1."""
     _require_deterministic(p, "compile_to_prob")
+    matrix = _successor_matrices(np.float64)
     levels = tuple(
-        matrix_level(l.variable,
-                     _successor_matrix(l.t0, l.width_out, np.float64),
-                     _successor_matrix(l.t1, l.width_out, np.float64))
+        matrix_level(l.variable, matrix(l.t0, l.width_out),
+                     matrix(l.t1, l.width_out))
         for l in p.levels)
     return Program(semantics="probabilistic", n=p.n, k=p.k, order=p.order,
                    levels=levels, initial=p.initial,

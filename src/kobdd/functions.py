@@ -46,6 +46,7 @@ class SAFLayout:
     Blocks have length a = floor(n / 2kw); any leftover suffix of the
     input is padding that the function never reads.  Each block carries
     addr_k_bits + addr_w_bits address bits, then b >= 1 value bits.
+    The derived fields are computed once: saf_eval reads them often.
     """
 
     n: int
@@ -63,40 +64,40 @@ class SAFLayout:
                 f"block length {self.a} leaves no value bits after "
                 f"{self.addr_k_bits + self.addr_w_bits} address bits")
 
-    @property
+    @cached_property
     def blocks(self) -> int:
         return 2 * self.k * self.w
 
-    @property
+    @cached_property
     def addr_k_bits(self) -> int:
         return (self.k - 1).bit_length()
 
-    @property
+    @cached_property
     def addr_w_bits(self) -> int:
         return (2 * self.w - 1).bit_length()
 
-    @property
+    @cached_property
     def a(self) -> int:
         """Variables per block."""
         return self.n // self.blocks
 
-    @property
+    @cached_property
     def b(self) -> int:
         """Value variables per block."""
         return self.a - self.addr_k_bits - self.addr_w_bits
 
-    @property
+    @cached_property
     def covered(self) -> int:
         """Number of input positions the blocks actually occupy."""
         return self.blocks * self.a
 
-    @property
+    @cached_property
     def regime_bits(self) -> int:
         """2kw(2w + addr bits), the input length n must exceed."""
         return self.blocks * (2 * self.w + self.addr_k_bits
                               + self.addr_w_bits)
 
-    @property
+    @cached_property
     def regime_ok(self) -> bool:
         """Whether 2kw(2w + addr bits) < n, the lower-bound lemmas' regime.
 

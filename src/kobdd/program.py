@@ -41,13 +41,15 @@ complex entries are {"re": str, "im": str} objects, both produced with
 ``repr`` so that a round trip through the file is bit-exact.
 
 :func:`serialize` writes exactly ``json.dumps(doc, indent=1,
-sort_keys=True)``.  :func:`deserialize` reads a text in that layout
-without parsing it whole: it cuts the text at the writer's fixed
-punctuation and decodes each piece with ``json.loads`` -- the header
-once, each deterministic or nondeterministic transition once, each
-distinct matrix entry once.  The header must re-dump to its own text.
-Any other text, and any text with an error, is parsed whole by
-``json.loads``, and that path alone words every error.
+sort_keys=True)``, rendering each distinct transition once.
+:func:`deserialize` reads a text in that layout without parsing it
+whole: it cuts the text at the writer's fixed punctuation and decodes
+each piece with ``json.loads`` -- the header once, each distinct
+transition once (equal ones share the result), each distinct matrix
+entry once.  The header must re-dump to its own text.  Any other text,
+and any text with an error, is parsed whole by ``json.loads``, and that
+path alone words every error.  :func:`validate` checks each distinct
+matrix once.
 """
 
 from __future__ import annotations
@@ -91,7 +93,11 @@ class Assignment:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        try:
+            ok = set(self.bits) <= {0, 1}
+        except TypeError:       # an unhashable bit: test them one by one
+            ok = all(b in (0, 1) for b in self.bits)
+        if not ok:
             raise ValueError("assignment bits must be 0 or 1")
 
     @classmethod
@@ -223,9 +229,25 @@ class TransitionLevel:
 
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
+    """a as a read-only ndarray that owns its data; copied unless it is one."""
+    if type(a) is not np.ndarray or a.flags.writeable or not a.flags.owndata:
+        a = np.array(a, copy=True)
+        a.setflags(write=False)
     return a
+
+
+def _memo(key, make):
+    """make(*args), made once per distinct key(*args) and then shared, in
+    a table that lives as long as the function returned: one call."""
+    table = {}
+    def get(*args):
+        k = key(*args)
+        return table[k] if k in table else table.setdefault(k, make(*args))
+    return get
+
+
+def _matrix_key(m: np.ndarray) -> tuple:    # equal bits, dtype and layout
+    return m.dtype, m.shape, m.strides, m.tobytes()
 
 
 def det_level(variable: int, t0: Iterable[int], t1: Iterable[int],
@@ -309,34 +331,25 @@ class ValidationReport:
         return self.ok
 
 
-def _check_matrix(level: TransitionLevel, which: str, m: Any,
-                  semantics: str, out: list[str], idx: int) -> None:
-    tag = f"levels[{idx}].{which}"
-    if not isinstance(m, np.ndarray):
-        out.append(f"{tag}: expected a matrix, found {type(m).__name__}")
-        return
-    if m.shape != (level.width_out, level.width_in):
-        out.append(f"{tag}: shape {m.shape} != "
-                   f"({level.width_out}, {level.width_in})")
-        return
+def _matrix_faults(m: np.ndarray, width_in: int, width_out: int,
+                   semantics: str) -> list[str]:
+    """What is wrong with a stochastic or unitary matrix, or []."""
+    if m.shape != (width_out, width_in):
+        return [f"shape {m.shape} != ({width_out}, {width_in})"]
     if not np.all(np.isfinite(m)):
-        out.append(f"{tag}: non-finite entries")
-        return
-    if semantics == "probabilistic":
-        if np.iscomplexobj(m):
-            out.append(f"{tag}: complex entries in a stochastic matrix")
-            return
-        if (m < 0).any():
-            out.append(f"{tag}: negative entries")
-        sums = m.sum(axis=0)
-        bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)[0]
-        if bad.size:
-            out.append(f"{tag}: column {bad[0] + 1} sums to {sums[bad[0]]!r}")
-    else:  # quantum
-        gram = m.conj().T @ m
-        err = np.linalg.norm(gram - np.eye(level.width_in))
-        if err > UNITARY_TOL:
-            out.append(f"{tag}: not unitary (|U+U - I|_F = {err:.3e})")
+        return ["non-finite entries"]
+    if semantics == "quantum":
+        err = np.linalg.norm(m.conj().T @ m - np.eye(width_in))
+        return ([f"not unitary (|U+U - I|_F = {err:.3e})"]
+                if err > UNITARY_TOL else [])
+    if np.iscomplexobj(m):
+        return ["complex entries in a stochastic matrix"]
+    faults = ["negative entries"] if (m < 0).any() else []
+    sums = m.sum(axis=0)
+    bad = np.nonzero(np.abs(sums - 1.0) > STOCHASTIC_TOL)[0]
+    if bad.size:
+        faults.append(f"column {bad[0] + 1} sums to {sums[bad[0]]!r}")
+    return faults
 
 
 def _transition_fault(t: Any, semantics: str, width_in: int,
@@ -391,21 +404,24 @@ def validate(p: Program) -> ValidationReport:
     if bad_accept:
         v.append(f"accept nodes {bad_accept} outside 1..{p.final_width}")
 
+    # one check per distinct matrix and widths; each level keeps its tag
+    faults = _memo(lambda m, *widths: (_matrix_key(m), *widths),
+                   partial(_matrix_faults, semantics=p.semantics))
     for i, lvl in enumerate(p.levels):
         if not 1 <= lvl.variable <= p.n:
             v.append(f"levels[{i}]: variable {lvl.variable} out of range")
         if lvl.width_in < 1 or lvl.width_out < 1:
             v.append(f"levels[{i}]: empty level")
             continue
-        if p.semantics in ("deterministic", "nondeterministic"):
-            for which, t in (("t0", lvl.t0), ("t1", lvl.t1)):
-                fault = _transition_fault(t, p.semantics, lvl.width_in,
-                                          lvl.width_out)
-                if fault:
-                    v.append(f"levels[{i}].{which}: {fault}")
-        else:
-            _check_matrix(lvl, "t0", lvl.t0, p.semantics, v, i)
-            _check_matrix(lvl, "t1", lvl.t1, p.semantics, v, i)
+        for which, t in (("t0", lvl.t0), ("t1", lvl.t1)):
+            if p.semantics in ("deterministic", "nondeterministic"):
+                found = [_transition_fault(t, p.semantics, lvl.width_in,
+                                           lvl.width_out)]
+            elif not isinstance(t, np.ndarray):
+                found = [f"expected a matrix, found {type(t).__name__}"]
+            else:
+                found = faults(t, lvl.width_in, lvl.width_out)
+            v += (f"levels[{i}].{which}: {f}" for f in found if f)
 
     if p.semantics == "quantum":
         widths = {l.width_in for l in p.levels} | {p.final_width}
@@ -427,9 +443,13 @@ def validate(p: Program) -> ValidationReport:
 #
 # serialize() writes the text of json.dumps(doc, indent=1, sort_keys=True).
 # Any indent sends json.dumps to its pure-Python encoder, so only the small
-# header goes through it; each transition is one str.join at its fixed depth.
+# header goes through it; each distinct transition is one str.join at its
+# fixed depth, and the document is one join of the pieces.
 
 _CELL = '{\n     "im": %s,\n     "re": %s\n    }'
+#: The text before, between and after the five fields of a level.
+_LEVEL = ('  {\n   "t0": ', ',\n   "t1": ', ',\n   "var": ',
+          ',\n   "width_in": ', ',\n   "width_out": ', '\n  }')
 
 
 def _entries(t: Any, semantics: str) -> list[str]:
@@ -467,17 +487,19 @@ def serialize(p: Program) -> str:
         "epsilon": p.epsilon,
         "levels": None,
     }, indent=1, sort_keys=True)
-    levels = [
-        f"  {{\n   \"t0\": {_encode_list(_entries(l.t0, p.semantics))},\n"
-        f"   \"t1\": {_encode_list(_entries(l.t1, p.semantics))},\n"
-        f"   \"var\": {l.variable},\n   \"width_in\": {l.width_in},\n"
-        f"   \"width_out\": {l.width_out}\n  }}"
-        for l in p.levels]
     before, _, after = head.partition('"levels": null')
-    if not levels:
+    if not p.levels:
         return before + '"levels": []' + after
-    return "".join((before, '"levels": [\n', ",\n".join(levels), "\n ]",
-                    after))
+    # one text per distinct matrix, or per object: (True, 2) == (1, 2)
+    body = _memo(lambda t: _matrix_key(t) if isinstance(t, np.ndarray)
+                 else id(t),
+                 lambda t: _encode_list(_entries(t, p.semantics)))
+    pieces = [before, '"levels": [\n']
+    for l in p.levels:
+        fields = (body(l.t0), body(l.t1), l.variable, l.width_in, l.width_out)
+        pieces += chain(*zip(_LEVEL, map(str, fields)), (_LEVEL[-1], ",\n"))
+    pieces[-1] = "\n ]"
+    return "".join(pieces + [after])
 
 
 def _want(doc: dict, key: str, kind: type, where: str) -> Any:
@@ -600,7 +622,8 @@ def _decode_header(doc: dict) -> dict:
 
 
 def _decode_level(rl: Any, where: str, semantics: str,
-                  transition=_decode_transition) -> TransitionLevel:
+                  transition=_decode_transition,
+                  kind: type = list) -> TransitionLevel:
     if not isinstance(rl, dict):
         raise ProgramFormatError(f"{where}: expected an object")
     var = _want(rl, "var", int, where)
@@ -608,9 +631,9 @@ def _decode_level(rl: Any, where: str, semantics: str,
     w_out = _want(rl, "width_out", int, where)
     if w_in < 1 or w_out < 1:
         raise ProgramFormatError(f"{where}: widths must be positive")
-    t0 = transition(_want(rl, "t0", list, where), semantics, w_in, w_out,
+    t0 = transition(_want(rl, "t0", kind, where), semantics, w_in, w_out,
                     f"{where}.t0")
-    t1 = transition(_want(rl, "t1", list, where), semantics, w_in, w_out,
+    t1 = transition(_want(rl, "t1", kind, where), semantics, w_in, w_out,
                     f"{where}.t1")
     return TransitionLevel(var, w_in, w_out, t0, t1)
 
@@ -621,9 +644,6 @@ def _decode_level(rl: Any, where: str, semantics: str,
 # whole text would decode it.
 
 _LEVELS = '\n "levels": [\n'
-#: The text before, between and after the five fields of a level.
-_LEVEL = ('  {\n   "t0": ', ',\n   "t1": ', ',\n   "var": ',
-          ',\n   "width_in": ', ',\n   "width_out": ', '\n  }')
 #: A matrix transition's text before its first item, between two items
 #: and after its last; quantum items are cut inside their braces.
 _ITEMS = {"probabilistic": ("[\n    ", ",\n    ", "\n   ]"),
@@ -697,15 +717,19 @@ def _read_layout(text: str) -> Program | None:
         fields = _decode_header(doc)
         semantics = fields["semantics"]
         if semantics in _ITEMS:
-            read, transition = partial(_cut_items, semantics), _decode_items
+            read, decode = partial(_cut_items, semantics), _decode_items
         else:
-            read, transition = json.loads, _decode_transition
+            read, decode = json.loads, _decode_transition
+        # one decode per distinct body and widths; equal bodies share it
+        transition = _memo(lambda body, _, w_in, w_out, where:
+                           (body, w_in, w_out),
+                           lambda body, *shape: decode(read(body), *shape))
         decoded = []
         for t0, t1, *numbers in levels:
             rl = dict(zip(("var", "width_in", "width_out"),
                           (json.loads(text[s]) for s in numbers)),
-                      t0=read(text[t0]), t1=read(text[t1]))
-            decoded.append(_decode_level(rl, "", semantics, transition))
+                      t0=text[t0], t1=text[t1])
+            decoded.append(_decode_level(rl, "", semantics, transition, str))
     except (ValueError, RecursionError):
         return None
     return Program(levels=tuple(decoded), **fields)

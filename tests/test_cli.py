@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from kobdd import cli, load_program, serialize, validate, width
+from kobdd import (cli, constructions, load_program, serialize,
+                   validate, width)
 from kobdd.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -337,11 +338,22 @@ def test_subfn_checks_cut_before_counting(capsys, monkeypatch, cut, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["build", "mxpj:1,4096"]])
+    ["build", "mxpj:1,64,quantum"]])      # within the node budget
 def test_out_of_memory_exits_2(argv):
     proc = _run_in_1gb(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("descriptor, levels, width", [
+    ("mxpj:1,4096", 98304, 4096 * 4096),
+    ("saf:1,2,100000000", 200000000, 9)])
+def test_builders_check_their_budget_first(descriptor, levels, width):
+    # without the check both run out of the 1 GB of address space
+    proc = _run_in_1gb(["build", descriptor])
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"error: {levels} levels of up to {width} nodes exceed the "
+                f"build budget of {constructions.NODE_LIMIT} nodes\n")
 
 
 @pytest.mark.parametrize("axes, name", [
@@ -356,6 +368,46 @@ def test_bounds_axis_budget(axes, name):
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         (2, "", f"error: {name} axis has more than {cli.AXIS_LIMIT} "
                 "points\n")
+
+
+def test_bounds_grid_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GRID_LIMIT", 6)
+    assert _run(capsys, ["bounds", "hi-n", "--k", "2:4", "--w",
+                         "8,16"])[0] == 0
+    assert _run(capsys, ["bounds", "hi-n", "--k", "2:4", "--w",
+                         "8,16,32"]) == \
+        (2, "", "error: grid has 9 points, more than 6\n")
+    # every chain of "all" counts against one budget
+    monkeypatch.setattr(cli, "GRID_LIMIT", 5606)
+    assert _run(capsys, ["bounds", "all"]) == \
+        (2, "", "error: grid has 5607 points, more than 5606\n")
+    monkeypatch.undo()
+    proc = _run_in_1gb(["bounds", "hi-n", "--k", "1:10000", "--w",
+                        "2:12"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"error: grid has 110000 points, more than "
+                f"{cli.GRID_LIMIT}\n")
+
+
+def test_bounds_error_late_in_the_grid_leaves_no_output(tmp_path, capsys):
+    # the last of the four points overflows; the rows before it are not
+    # written, to stdout or to --out
+    args = ["bounds", "s5-pobdd", "--k", "2,64", "--d", "16,1048576",
+            "--constants", "C3=1e300"]
+    path = tmp_path / "b.csv"
+    for out in ([], ["-o", str(path)]):
+        code, stdout, err = _run(capsys, args + out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: s5-pobdd at k=64, d=1048576: ")
+    assert not path.exists()
+
+
+def test_bounds_all_is_pinned(capsys):
+    code, out, err = _run(capsys, ["bounds", "all"])
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "43f0cf87cc3b6b680f0dbd96de21408f22ba1b8acd02abec3d6597a03fb33847"
+    assert err.startswith("5607 rows, minimum margin ")
 
 
 def test_subfn_truth_table_file(tmp_path, capsys):
@@ -469,12 +521,30 @@ def test_bounds_custom_constants(capsys):
      "01e370d24f2463bf986d6ddd0ed28adb3a14f00e8d3bb73f5217a6183928bcdd"),
     ("mxpj:2,8,quantum",
      "378e7229fbaf8c715e3f07be4794cd69f9920f6e196008730da3ad4e35f3a169"),
+    ("mxpj:2,8",
+     "ef01682dd009cba4c2b9ed84c8bf11c0d7eb62cf3ee42a5a8762eb2adddff4ba"),
+    ("mxpj:2,8,nondet",
+     "3c1abdee77b8da687fc4b09927c43c3724afde0af2336548ce48cc9f4410abe4"),
+    ("mxpj:2,8,prob",
+     "8b4eae1d691d61fbc5efb9ddcd5fd63cc3ef306b945eec39959f449c9b07cc46"),
+    ("saf:3,4,300",
+     "79fa0df9868f4b5744a2f32065fbe4354911dbf1fb0a9153cf24cb3701542c36"),
 ])
 def test_build_files_are_pinned(tmp_path, capsys, descriptor, digest):
     path = tmp_path / "p.json"
     code, _, _ = _run(capsys, ["build", descriptor, "-o", str(path)])
     assert code == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("descriptor", ["mxpj:1,4,quantum", "saf:2,2,57"])
+def test_build_stdout_matches_out_file(tmp_path, capsys, descriptor):
+    path = tmp_path / "p.json"
+    code, out, _ = _run(capsys, ["build", descriptor])
+    assert code == 0
+    assert _run(capsys, ["build", descriptor, "-o", str(path)])[:2] == (0, "")
+    text = path.read_text()
+    assert text == out == serialize(load_program(str(path))) + "\n"
 
 
 @pytest.mark.parametrize("descriptor", [

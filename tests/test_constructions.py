@@ -9,10 +9,10 @@ from conftest import det_by_hand
 from kobdd import (Assignment, NonReversibleError, SAFLayout,
                    all_assignments_array, build_mxpj_id_obdd,
                    build_saf_2k_obdd, compile_to_nondet, compile_to_prob,
-                   compile_to_quantum, det_level, eval_det, eval_det_batch,
-                   eval_nondet_batch, accept_prob_batch, mxpj_function,
-                   random_saf_positive, saf_function, validate, width,
-                   Program, VariableOrder)
+                   compile_to_quantum, deserialize, det_level, eval_det,
+                   eval_det_batch, eval_nondet_batch, accept_prob_batch,
+                   mxpj_function, random_saf_positive, saf_function,
+                   serialize, validate, width, Program, VariableOrder)
 
 
 # ---------------------------------------------------------------------------
@@ -189,3 +189,37 @@ def test_compilers_handle_varying_width():
     for compiled in (compile_to_nondet(p), compile_to_prob(p)):
         assert validate(compiled).ok
         _all_inputs_probe(p, compiled)
+
+
+def test_builders_refuse_programs_over_the_node_budget():
+    # 2*1*32*5 = 320 levels of 1024 nodes fit; mxpj:1,128 does not
+    assert build_mxpj_id_obdd(1, 32).n == 320
+    with pytest.raises(ValueError, match="1792 levels of up to 16384 "
+                                         "nodes exceed the build budget"):
+        build_mxpj_id_obdd(1, 128)
+    with pytest.raises(ValueError, match="2000000 levels of up to 9 "
+                                         "nodes exceed the build budget"):
+        build_saf_2k_obdd(1, 2, 1000000)
+
+
+@pytest.mark.parametrize("compile_", [compile_to_prob, compile_to_quantum])
+def test_equal_transitions_share_one_frozen_matrix(compile_):
+    det = build_mxpj_id_obdd(2, 4)
+    distinct = {t for l in det.levels for t in (l.t0, l.t1)}
+    for q in (compile_(det), deserialize(serialize(compile_(det)))):
+        mats = {id(t): t for l in q.levels for t in (l.t0, l.t1)}
+        assert len(mats) == len(distinct) < 2 * len(q.levels)
+        for m in mats.values():
+            assert not m.flags.writeable and m.flags.owndata
+    assert serialize(q) == serialize(compile_(det))
+
+
+def test_compilers_key_successors_on_their_types():
+    # (1.0, 2) == (1, 2), but a float successor indexes no matrix
+    p = Program(semantics="deterministic", n=1, k=1,
+                order=VariableOrder.identity(1),
+                levels=(det_level(1, (1, 2), (1.0, 2), 2),),
+                initial=1, accept=frozenset({1}))
+    for compile_ in (compile_to_prob, compile_to_quantum):
+        with pytest.raises(IndexError):
+            compile_(p)

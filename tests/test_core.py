@@ -4,6 +4,8 @@ import dataclasses
 import json
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from conftest import (random_det_program, random_nondet_program,
 from kobdd import (Assignment, Program, ProgramFormatError, VariableOrder,
                    all_assignments_array, deserialize, det_level,
                    matrix_level, nondet_level, serialize, validate, width)
-from kobdd.program import _read_layout, sweep_rows
+from kobdd import program
+from kobdd.program import TransitionLevel, _read_layout, sweep_rows
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +44,24 @@ def test_assignment_rejects_junk():
         Assignment.from_string("01x")
     with pytest.raises(ValueError):
         Assignment.from_int(4, 2)
+
+
+@pytest.mark.parametrize("bit", [
+    0, 1, True, False, 0.0, 1.0, -0.0, 1 + 0j, Fraction(1), Decimal(0),
+    np.int64(1), np.uint8(0), np.float64(1.0), np.bool_(True),
+    np.array(1), np.array([0]), np.array([0, 1]), 2, -1, 0.5,
+    float("nan"), "0", "1", None, (0,), [1]], ids=repr)
+def test_assignment_bit_check_matches_the_per_bit_test(bit):
+    def outcome(check):
+        try:
+            return check()
+        except Exception as e:      # the exception type is the outcome
+            return type(e)
+
+    bits = (0, bit, 1)
+    want = outcome(lambda: all(b in (0, 1) for b in bits))
+    got = outcome(lambda: Assignment(bits).bits is bits)
+    assert got == {False: ValueError}.get(want, want)
 
 
 def test_all_assignments_array_matches_from_int():
@@ -190,6 +211,51 @@ def test_validate_unitarity():
     assert not validate(p).ok
 
 
+def test_validate_checks_a_shared_matrix_once_and_tags_every_level(
+        monkeypatch):
+    calls = []
+    faults = program._matrix_faults
+    monkeypatch.setattr(program, "_matrix_faults",
+                        lambda *a, **kw: calls.append(1) or faults(*a, **kw))
+    quantum = np.array([[1, 1], [0, 1]], dtype=complex)
+    prob = np.array([[0.7, -0.1], [0.2, 1.1]])
+    for semantics, bad, found in [
+            ("quantum", quantum, ["not unitary (|U+U - I|_F = 1.732e+00)"]),
+            ("probabilistic", prob,
+             ["negative entries", f"column 1 sums to {prob.sum(0)[0]!r}"])]:
+        good = np.eye(2, dtype=bad.dtype)
+        levels = (matrix_level(1, good, bad), matrix_level(2, good, bad),
+                  matrix_level(3, good, bad.copy()))
+        p = Program(semantics=semantics, n=3, k=1,
+                    order=VariableOrder.identity(3), levels=levels,
+                    initial=1, accept=frozenset({1}))
+        calls.clear()
+        assert validate(p).violations == tuple(
+            f"levels[{i}].t1: {f}" for i in range(3) for f in found)
+        assert len(calls) == 2                # the identity and bad
+    # the identity under two pairs of declared widths: two checks
+    level = TransitionLevel(2, 2, 3, good, good)
+    p = dataclasses.replace(p, levels=(levels[0], level, levels[2]))
+    violations = validate(p).violations
+    assert "levels[1].t0: shape (2, 2) != (3, 2)" in violations
+    assert "levels[1].t1: shape (2, 2) != (3, 2)" in violations
+    assert not any(v.startswith("levels[0].t0") for v in violations)
+
+
+def test_matrix_level_owns_what_it_holds():
+    base = np.eye(2)
+    view = base[:]
+    view.setflags(write=False)
+    for m in (base, view):
+        lvl = matrix_level(1, m, m)
+        base[0, 0] = 5.0
+        assert lvl.t0[0, 0] == 1.0 and not lvl.t0.flags.writeable
+        base[0, 0] = 1.0
+    frozen = np.eye(2)
+    frozen.setflags(write=False)
+    assert matrix_level(1, frozen, frozen).t0 is frozen     # no copy
+
+
 def test_validate_quantum_needs_constant_width():
     widen = (matrix_level(1, np.eye(3)[:, :2] + 0j, np.eye(3)[:, :2] + 0j),)
     p = Program(semantics="quantum", n=1, k=1,
@@ -313,6 +379,27 @@ _ENCODER_CASES = _encoder_cases()
 def test_serialize_matches_json_dumps(name):
     p = _ENCODER_CASES[name]
     assert serialize(p) == _reference_text(p)
+
+
+def test_serialize_keeps_apart_equal_values_and_equal_bits():
+    m = np.array([[0.5, 0.0], [0.5, 1.0]])
+    f32 = np.array([[0.5, 0.25], [1.0, 2.0]], dtype=np.float32)
+    for a, b in [(m * 0.0, m * -0.0),       # equal values, other bits
+                 (m, m.view(np.int64)),      # equal bits, other dtype
+                 (f32, f32.view(np.float64))]:   # ... and other shape
+        assert a.tobytes() == b.tobytes() or np.array_equal(a, b)
+        p = Program(semantics="probabilistic", n=2, k=1,
+                    order=VariableOrder.identity(2),
+                    levels=(matrix_level(1, a, a), matrix_level(2, b, b)),
+                    initial=1, accept=frozenset({1}))
+        assert serialize(p) == _reference_text(p)
+    # equal tuples print apart: (True, 2) == (1, 2)
+    p = Program(semantics="deterministic", n=2, k=1,
+                order=VariableOrder.identity(2),
+                levels=(det_level(1, (1, 2), (1, 2), 2),
+                        det_level(2, (True, 2), (True, 2), 2)),
+                initial=1, accept=frozenset({1}))
+    assert serialize(p).count("True") == 2
 
 
 def test_repeated_entries_round_trip_bit_exact():
@@ -473,6 +560,57 @@ def test_layout_read_agrees_with_json_on_edge_cases(semantics):
         _assert_read_as_json_reads(t)
 
 
+def _repeated_text(semantics: str, seed: int) -> str:
+    """A writer-layout text in which every transition body appears four
+    times: t1 repeats t0, and layer 2 repeats layer 1."""
+    doc = json.loads(_program_text(semantics, seed))
+    for level in doc["levels"]:
+        level["t1"] = level["t0"]
+    doc["k"], doc["levels"] = 2, doc["levels"] * 2
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
+@pytest.mark.parametrize("semantics", ["deterministic", "nondeterministic",
+                                       "probabilistic", "quantum"])
+def test_layout_read_agrees_with_json_on_repeated_transitions(semantics):
+    text = _repeated_text(semantics, 5)
+    p = _read_layout(text)
+    assert p.structurally_equal(_outcome_via_json(text))
+    assert all(l.t0 is l.t1 is p.levels[i % 2].t0
+               for i, l in enumerate(p.levels))        # one decode each
+    # one of the four equal bodies mutated
+    t1 = json.loads(text)["levels"][1]["t1"]
+    for path in _leaf_paths(t1, ("levels", 1, "t1")):
+        for raw in _RAW_VALUES:
+            _assert_read_as_json_reads(_put(text, path, raw))
+
+
+@pytest.mark.parametrize("semantics, body, entry", [
+    ("deterministic", [1, 2], None),
+    ("probabilistic", None, "0.5"),
+    ("quantum", None, {"im": "0.0", "re": "0.5"})])
+def test_layout_read_decodes_a_body_at_each_width(semantics, body, entry):
+    # [1, 2] is in range at width_out 2 but not at width_out 1; four
+    # matrix entries are a 2x2 matrix at one level and a 1x4 at the next
+    widths = [(2, 2), (2, 1)] if body else [(2, 2), (4, 1), (2, 2)]
+    levels = [{"var": 1, "width_in": w_in, "width_out": w_out,
+               "t0": body or [entry] * 4, "t1": body or [entry] * 4}
+              for w_in, w_out in widths]
+    for order in (levels, levels[::-1]):
+        doc = {"accept": [1], "epsilon": None, "format": "kobdd-program-v1",
+               "initial": 1, "k": len(order), "n": 1, "order": [1],
+               "semantics": semantics, "levels": order}
+        text = json.dumps(doc, indent=1, sort_keys=True)
+        _assert_read_as_json_reads(text)
+        got = _outcome(text)
+        if body:
+            assert got == f"levels[{order.index(levels[1])}].t0: " \
+                          "successors [2] outside 1..1"
+        else:
+            assert [l.t0.shape for l in got.levels] == \
+                [(l["width_out"], l["width_in"]) for l in order]
+
+
 _CHARS = '0123456789"{}[],: \n\t-+.eE\\a\x00'
 
 
@@ -482,7 +620,8 @@ _CHARS = '0123456789"{}[],: \n\t-+.eE\\a\x00'
        st.integers(0, 10 ** 6), st.data())
 def test_layout_read_agrees_with_json_on_mutated_files(semantics, seed,
                                                        data):
-    text = _program_text(semantics, seed)
+    text = data.draw(st.sampled_from([_program_text, _repeated_text]))(
+        semantics, seed)
     kind = data.draw(st.sampled_from(["char", "drop", "value", "entry"]))
     if kind == "entry":                 # one more top-level key
         ends = [m.start() for m in re.finditer(r",\n \"|\n\}$", text)]
