@@ -119,13 +119,13 @@ def _parse_axis(text: str, name: str) -> list[int]:
 
 
 def _load_bits(arg: str) -> Assignment:
-    if arg and set(arg) <= {"0", "1"}:
+    if set(arg) <= {"0", "1"}:     # '' too: an empty literal, not a path
         return Assignment.from_string(arg)
     return Assignment.from_string(Path(arg).read_text().strip())
 
 
 def _function_from_arg(arg: str):
-    if ":" in arg:
+    if not arg or ":" in arg:      # '' is a bad descriptor, not a path
         return parse_function(arg)
     text = Path(arg).read_text().strip()
     if not text or set(text) - {"0", "1"}:

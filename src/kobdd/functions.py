@@ -153,10 +153,8 @@ def val(x: Assignment, layout: SAFLayout, i: int, t: int) -> int:
     return -1 if p < 0 else _block_value(x, layout, p)
 
 
-def _step_iter(x: Assignment, layout: SAFLayout, t: int,
-               table: dict | None = None) -> tuple[int, int]:
-    if table is None:
-        table = _address_map(x, layout)
+def _step_iter(x: Assignment, layout: SAFLayout, t: int) -> tuple[int, int]:
+    table = _address_map(x, layout)
     s1, s2 = 0, 0
     for step in range(t + 1):
         p = table.get((step, s2), -1)

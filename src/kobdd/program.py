@@ -42,14 +42,15 @@ complex entries are {"re": str, "im": str} objects, both produced with
 
 :func:`serialize` writes exactly ``json.dumps(doc, indent=1,
 sort_keys=True)``, rendering each distinct transition once.
-:func:`deserialize` reads a text in that layout without parsing it
-whole: it cuts the text at the writer's fixed punctuation and decodes
-each piece with ``json.loads`` -- the header once, each distinct
-transition once (equal ones share the result), each distinct matrix
-entry once.  The header must re-dump to its own text.  Any other text,
-and any text with an error, is parsed whole by ``json.loads``, and that
-path alone words every error.  :func:`validate` checks each distinct
-matrix once.
+:func:`deserialize` has two reads.  They share every decoder (header,
+level, transition, matrix entry) and differ only in how they cut the
+text.  A text in the writer's layout is cut at the writer's fixed
+punctuation, and each piece goes to ``json.loads``: the header once (it
+must re-dump to its own text), each distinct transition once (equal
+ones share the result), each distinct matrix entry once.  Any other
+text, and any text with an error, is parsed whole by ``json.loads``,
+and that read alone words every error.  :func:`validate` checks each
+distinct matrix once.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, repeat
-from typing import Any, Iterable, NoReturn
+from itertools import chain
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -528,27 +529,31 @@ def _parse_number(raw: Any, where: str) -> float:
     return x
 
 
-def _raise_first_bad(raw: list, semantics: str, where: str) -> NoReturn:
-    """Raise the error of the first entry of matrix ``raw`` that does not
-    decode, checking entry by entry (the fast path only sees that one
-    does not)."""
-    for i, x in enumerate(raw):
-        if semantics == "probabilistic":
-            _parse_number(x, f"{where}[{i}]")
-        elif not isinstance(x, dict) or set(x) != {"re", "im"}:
-            raise ProgramFormatError(
-                f"{where}[{i}]: complex entries need 're' and 'im'")
-        else:
-            _parse_number(x["re"], f"{where}[{i}].re")
-            _parse_number(x["im"], f"{where}[{i}].im")
-    # not reached: the loop raises wherever the fast path gave up
-    raise ProgramFormatError(f"{where}: undecodable matrix entries")
+def _decode_entry(x: Any, semantics: str, where: str) -> float | complex:
+    """One matrix entry: a decimal string (probabilistic) or an object with
+    exactly the keys 're' and 'im' (quantum).  The one check of matrix
+    entries, shared by both reads."""
+    if semantics == "probabilistic":
+        return _parse_number(x, where)
+    if not isinstance(x, dict) or set(x) != {"re", "im"}:
+        raise ProgramFormatError(
+            f"{where}: complex entries need 're' and 'im'")
+    return complex(_parse_number(x["re"], f"{where}.re"),
+                   _parse_number(x["im"], f"{where}.im"))
+
+
+def _matrix(entries: Iterable, semantics: str, width_in: int,
+            width_out: int) -> np.ndarray:
+    dtype = np.float64 if semantics == "probabilistic" else np.complex128
+    m = np.fromiter(entries, dtype, width_in * width_out)
+    return _frozen_array(m.reshape(width_out, width_in))
 
 
 def _decode_transition(raw: Any, semantics: str, width_in: int,
                        width_out: int, where: str) -> Any:
     if not isinstance(raw, list):
-        raise ProgramFormatError(f"{where}: expected an array")
+        raise ProgramFormatError(f"{where}: expected list, "
+                                 f"found {type(raw).__name__}")
     if semantics in ("deterministic", "nondeterministic"):
         if semantics == "deterministic":
             t = tuple(raw)
@@ -566,25 +571,13 @@ def _decode_transition(raw: Any, semantics: str, width_in: int,
         raise ProgramFormatError(
             f"{where}: expected {width_out}x{width_in} = "
             f"{width_in * width_out} entries, got {len(raw)}")
-    columns = [raw]
-    if semantics == "quantum":
-        cells = set(map(type, raw)) == {dict} and set(map(len, raw)) == {2}
-        columns = [list(map(dict.get, raw, repeat(k))) for k in ("re", "im")
-                   ] if cells else []
-    try:  # parse each distinct string once
-        table = dict.fromkeys(chain(*columns))
-        for s in table:
-            table[s] = _parse_number(s, "")
-    except (TypeError, ProgramFormatError):  # an unhashable or a bad entry
-        table = {}
-    if not table:  # also when the cells are not all {"re", "im"} objects
-        _raise_first_bad(raw, semantics, where)
-    parts = [np.fromiter(map(table.__getitem__, c), np.float64, len(raw))
-             for c in columns]
-    # one float64 column is the matrix; (re, im) float64 pairs are complex128
-    m = np.stack(parts, axis=-1).view(np.complex128 if len(parts) == 2
-                                      else np.float64)
-    return _frozen_array(m.reshape(width_out, width_in))
+    try:
+        entries = [_decode_entry(x, semantics, "") for x in raw]
+    except ProgramFormatError:  # walk again, naming the first bad entry
+        for i, x in enumerate(raw):
+            _decode_entry(x, semantics, f"{where}[{i}]")
+        raise
+    return _matrix(entries, semantics, width_in, width_out)
 
 
 def _decode_header(doc: dict) -> dict:
@@ -622,8 +615,7 @@ def _decode_header(doc: dict) -> dict:
 
 
 def _decode_level(rl: Any, where: str, semantics: str,
-                  transition=_decode_transition,
-                  kind: type = list) -> TransitionLevel:
+                  transition=_decode_transition) -> TransitionLevel:
     if not isinstance(rl, dict):
         raise ProgramFormatError(f"{where}: expected an object")
     var = _want(rl, "var", int, where)
@@ -631,9 +623,9 @@ def _decode_level(rl: Any, where: str, semantics: str,
     w_out = _want(rl, "width_out", int, where)
     if w_in < 1 or w_out < 1:
         raise ProgramFormatError(f"{where}: widths must be positive")
-    t0 = transition(_want(rl, "t0", kind, where), semantics, w_in, w_out,
+    t0 = transition(_want(rl, "t0", object, where), semantics, w_in, w_out,
                     f"{where}.t0")
-    t1 = transition(_want(rl, "t1", kind, where), semantics, w_in, w_out,
+    t1 = transition(_want(rl, "t1", object, where), semantics, w_in, w_out,
                     f"{where}.t1")
     return TransitionLevel(var, w_in, w_out, t0, t1)
 
@@ -660,22 +652,16 @@ def _cut_items(semantics: str, body: str) -> list[str]:
 def _decode_items(items: list[str], semantics: str, width_in: int,
                   width_out: int, where: str) -> np.ndarray:
     """The matrix of items cut by :func:`_cut_items`; each distinct item
-    is decoded once, as :func:`_decode_transition` decodes an entry."""
+    is decoded once, by :func:`_decode_entry`."""
     if len(items) != width_in * width_out:
         raise ValueError("wrong entry count")
     table = dict.fromkeys(items)
     for item in table:
-        if semantics == "probabilistic":
-            table[item] = _parse_number(json.loads(item), where)
-        else:
-            cell = json.loads("{" + item + "}")
-            if set(cell) != {"re", "im"}:
-                raise ValueError("not a complex entry")
-            table[item] = complex(_parse_number(cell["re"], where),
-                                  _parse_number(cell["im"], where))
-    dtype = np.float64 if semantics == "probabilistic" else np.complex128
-    m = np.fromiter(map(table.__getitem__, items), dtype, len(items))
-    return _frozen_array(m.reshape(width_out, width_in))
+        x = json.loads(item if semantics == "probabilistic"
+                       else "{" + item + "}")
+        table[item] = _decode_entry(x, semantics, where)
+    return _matrix(map(table.__getitem__, items), semantics, width_in,
+                   width_out)
 
 
 def _read_layout(text: str) -> Program | None:
@@ -729,7 +715,7 @@ def _read_layout(text: str) -> Program | None:
             rl = dict(zip(("var", "width_in", "width_out"),
                           (json.loads(text[s]) for s in numbers)),
                       t0=text[t0], t1=text[t1])
-            decoded.append(_decode_level(rl, "", semantics, transition, str))
+            decoded.append(_decode_level(rl, "", semantics, transition))
     except (ValueError, RecursionError):
         return None
     return Program(levels=tuple(decoded), **fields)

@@ -122,6 +122,20 @@ def test_eval_reads_input_file(tmp_path, capsys):
     assert code == 0 and out == "1\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    ("eval", "not a 0/1 string: ''"),
+    ("check-equiv", "bad function descriptor '' (expected name:params)"),
+    ("subfn", "bad function descriptor '' (expected name:params)"),
+])
+def test_empty_argument_is_an_empty_literal(tmp_path, capsys, monkeypatch,
+                                            command, message):
+    prog = str(tmp_path / "p.json")
+    _run(capsys, ["build", "mxpj:1,2", "-o", prog])
+    monkeypatch.chdir(tmp_path)     # '' must not be read as a path
+    argv = [command, ""] if command == "subfn" else [command, prog, ""]
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_validate_command(tmp_path, capsys):
     path = str(tmp_path / "p.json")
     _run(capsys, ["build", "saf:2,2,57", "-o", path])

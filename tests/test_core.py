@@ -291,9 +291,11 @@ def test_width_counts_sink_level():
 def test_round_trip_each_semantics(semantics):
     rng = random.Random(hash(semantics) & 0xFFFF)
     p = random_program(rng, semantics, n=3, k=2)
-    q = deserialize(serialize(p))
-    assert q.structurally_equal(p)
-    assert validate(q).ok
+    text = serialize(p)
+    for t in (text, json.dumps(json.loads(text))):  # writer's layout, compact
+        q = deserialize(t)
+        assert q.structurally_equal(p)
+        assert validate(q).ok
 
 
 @settings(max_examples=25, deadline=None)
@@ -705,6 +707,12 @@ def _bad_entry_doc(semantics: str) -> dict:
     return _doc(_one_level(semantics, matrix_level(1, m, m)))
 
 
+def _both_layouts(doc: dict) -> tuple[str, str]:
+    """doc as compact text, which takes json.loads, and in the writer's
+    layout, which is read first."""
+    return json.dumps(doc), json.dumps(doc, indent=1, sort_keys=True)
+
+
 @pytest.mark.parametrize("bad, message", [
     (0.5, "matrix entries must be decimal strings, found float"),
     (True, "matrix entries must be decimal strings, found bool"),
@@ -723,10 +731,13 @@ def test_matrix_decoder_names_first_bad_entry(field, bad, message):
         where = "levels[0].t1[5]"
     else:
         t1[5][field], t1[7][field] = bad, "abc"
+        if field == "re":       # re is read before im
+            t1[5]["im"] = "abc"
         where = f"levels[0].t1[5].{field}"
-    with pytest.raises(ProgramFormatError) as info:
-        deserialize(json.dumps(doc))
-    assert str(info.value) == f"{where}: {message}"
+    for text in _both_layouts(doc):
+        with pytest.raises(ProgramFormatError) as info:
+            deserialize(text)
+        assert str(info.value) == f"{where}: {message}"
 
 
 @pytest.mark.parametrize("cell", [{"re": "0.0"},
@@ -735,7 +746,8 @@ def test_matrix_decoder_names_first_bad_entry(field, bad, message):
 def test_complex_decoder_names_first_bad_cell(cell):
     doc = _bad_entry_doc("quantum")
     doc["levels"][0]["t1"][5] = cell
-    with pytest.raises(ProgramFormatError) as info:
-        deserialize(json.dumps(doc))
-    assert str(info.value) == \
-        "levels[0].t1[5]: complex entries need 're' and 'im'"
+    for text in _both_layouts(doc):
+        with pytest.raises(ProgramFormatError) as info:
+            deserialize(text)
+        assert str(info.value) == \
+            "levels[0].t1[5]: complex entries need 're' and 'im'"
