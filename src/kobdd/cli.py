@@ -49,10 +49,12 @@ def _say(text: str) -> None:
 
 
 def _emit(text: str, out: str | None, end: str = "") -> None:
-    """text, then end, to out or stdout: a long text is not copied."""
+    """text, then end, to out or stdout; a long text is never encoded whole."""
     with (contextlib.nullcontext(sys.stdout) if out is None
           else Path(out).open("w")) as fh:
-        fh.writelines((text, end))
+        for i in range(0, len(text), 1 << 18):
+            fh.write(text[i:i + (1 << 18)])
+        fh.write(end)
 
 
 def _parse_constants(text: str | None) -> Constants:

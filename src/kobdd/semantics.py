@@ -11,16 +11,19 @@ the variable it tests and applies the matching transition:
                    of the amplitudes on the accepting sinks
 
 One kernel runs all four over an (m, n) matrix of assignments, one row
-per input; a scalar call is a batch of one.  Batches exist because
-exhaustive sweeps over 2^n inputs dominate the test suite's runtime.
+per input; a scalar call is a batch of one.  A row stays one node index
+through every level whose branches are 0/1 functions, in any semantics,
+and becomes a dense vector only at the first level that is not.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .program import (Assignment, Program, all_assignments_array, as_rows,
-                      sweep_rows)
+from .program import (Assignment, Program, _memo, all_assignments_array,
+                      as_rows, sweep_rows)
 
 _DET, _NONDET = ("deterministic",), ("nondeterministic",)
 _PROB = ("probabilistic", "quantum")
@@ -35,50 +38,71 @@ def _bits_of(x: Assignment | str | tuple | list) -> np.ndarray:
     return np.array([x.bits if isinstance(x, Assignment) else tuple(x)])
 
 
-def _compile_level(semantics: str, lvl):
-    """The two operators of one level, indexed by the bit read.
+def _successors(semantics: str, t, width_in: int):
+    """Branch t as one 0-based successor per node when it is a total
+    function of weight exactly 1, bit for bit; else None.
 
-    Deterministic: one (2, width_in) table of 0-based successors, read
-    as ``tab[bit, node]``.  Otherwise two (width_in, width_out) matrices
-    applied as ``state @ op``: float64 0/1 for a relation, transposed
-    views for stochastic and unitary ones.
+    Every deterministic branch is one.  A relation needs one edge per
+    source, a matrix 1.0 (1+0j) once per column and +0.0 elsewhere: a
+    -0.0 or a 1.0000000000000002 keeps the branch dense.
     """
     if semantics == "deterministic":
-        return np.array([lvl.t0, lvl.t1], dtype=np.intp) - 1
+        return np.array(t, dtype=np.intp) - 1
     if semantics == "nondeterministic":
-        ops = np.zeros((2, lvl.width_in, lvl.width_out))
-        for op, t in zip(ops, (lvl.t0, lvl.t1)):
-            edges = np.array(list(t), dtype=np.intp).reshape(-1, 2) - 1
-            op[edges[:, 0], edges[:, 1]] = 1
-        return ops
-    return lvl.t0.T, lvl.t1.T
+        src, dst = (np.array(sorted(t), dtype=np.intp).reshape(-1, 2) - 1).T
+        return dst if np.array_equal(src, np.arange(width_in)) else None
+    succ = (t == 1).argmax(axis=0)
+    hot = np.eye(len(t), dtype=t.dtype)[:, succ]    # +0.0 off the ones
+    return succ if hot.tobytes() == t.tobytes() else None
 
 
-def _is_identity(lvl, ops) -> bool:
-    """True iff both operators of a level are the exact identity, bit for
-    bit: an identity holding -0.0 entries still runs."""
-    w = lvl.width_in
-    if w != lvl.width_out:
-        return False
-    eye = np.eye(w) if ops[0].ndim == 2 else np.arange(w)
-    eye = eye.astype(ops[0].dtype)
-    return all(op.tobytes() == eye.tobytes() for op in ops)
+def _dense(semantics: str, t, width_in: int, width_out: int) -> np.ndarray:
+    """Branch t as a (width_in, width_out) matrix applied as ``state @ op``:
+    float64 0/1 for a relation, a transposed view for a matrix."""
+    if semantics != "nondeterministic":
+        return t.T
+    op = np.zeros((width_in, width_out))
+    edges = np.array(list(t), dtype=np.intp).reshape(-1, 2) - 1
+    op[edges[:, 0], edges[:, 1]] = 1
+    return op
+
+
+def _is_identity(lvl, tab) -> bool:
+    """True iff a level's successor table sends every node to itself."""
+    return (lvl.width_in == lvl.width_out
+            and (tab == np.arange(lvl.width_in)).all())
 
 
 def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
-    """(0-based variable, operators) per level, built once per Program.
+    """(0-based variable, (table, operators)) per level, built once per
+    Program and once per distinct transition.
 
-    An identity level's operators are None, and the kernel skips it.
-    The list is kept in the instance dict, as functools.cached_property
-    does; Program and its levels are frozen, so it never goes stale.
+    The table is the (2, width_in) successor array, read as
+    ``tab[bit, node]``, of a level whose two branches both have
+    :func:`_successors`, else None.  The operators are the two dense
+    branches, in every semantics but deterministic.  An identity level is
+    None, and the kernel skips it.  The list is kept in the instance
+    dict, as functools.cached_property does; Program and its levels are
+    frozen, so it never goes stale.
     """
     levels = p.__dict__.get("_kernel_levels")
     if levels is None:
+        def once(make):     # p holds every transition, so ids stay unique
+            return _memo(lambda t, *widths: (id(t), *widths),
+                         partial(make, p.semantics))
+        succ, dense = once(_successors), once(_dense)
         levels = []
         for lvl in p.levels:
-            ops = _compile_level(p.semantics, lvl)
-            levels.append((lvl.variable - 1,
-                           None if _is_identity(lvl, ops) else ops))
+            s0, s1 = succ(lvl.t0, lvl.width_in), succ(lvl.t1, lvl.width_in)
+            tab = None if s0 is None or s1 is None else np.array([s0, s1])
+            if tab is not None and _is_identity(lvl, tab):
+                step = None
+            elif p.semantics == "deterministic":
+                step = tab, None
+            else:
+                step = tab, tuple(dense(t, lvl.width_in, lvl.width_out)
+                                  for t in (lvl.t0, lvl.t1))
+            levels.append((lvl.variable - 1, step))
         levels = p.__dict__["_kernel_levels"] = tuple(levels)
     return levels
 
@@ -89,44 +113,48 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
 
     Returns accept bits (det, nondet) or acceptance probabilities per
     row; with trace=True, the row states before level 1 through after
-    the last level instead.  Deterministic states are node indices of
-    shape (m,), the others (m, width) reachability, probability or
-    amplitude rows.  ``caller`` names the public function in the error
-    raised for a program outside ``semantics``.
+    the last level instead.  ``caller`` names the public function in the
+    error raised for a program outside ``semantics``.
+
+    A row is one node index, advanced by a gather, up to the first level
+    with no table; there it becomes a one-hot (m, width) reachability,
+    probability or amplitude row, and each later level is a matrix step.
+    A one-hot row times a 0/1 function matrix is exact, so both forms
+    give the same bits.  Deterministic rows never leave the node form;
+    a trace of any other semantics starts dense.
     """
     if p.semantics not in semantics:
         raise ValueError(f"{caller} on a {p.semantics} program")
     # one contiguous 0/1 row per variable; a gather needs integer bits
     bits = np.ascontiguousarray(as_rows(xs, p.n).T)
-    m = bits.shape[1]
     det = p.semantics == "deterministic"
     nondet = p.semantics == "nondeterministic"
-    if det:
-        state = np.full(m, p.initial - 1, dtype=np.intp)
-    else:
-        state = np.zeros((m, p.levels[0].width_in),
-                         complex if p.semantics == "quantum" else float)
-        state[:, p.initial - 1] = 1
+    dtype = complex if p.semantics == "quantum" else float
+    node = np.full(bits.shape[1], p.initial - 1, dtype=np.intp)
+    state = (np.eye(p.levels[0].width_in, dtype=dtype)[node]
+             if trace and not det else None)
     # only a trace keeps old states; otherwise each (m, width) one is freed
-    states = [state] if trace else None
-    for var, ops in _compiled(p):
-        if ops is None:
-            pass
-        elif det:
-            state = ops[bits[var], state]
-        else:
+    states = [node if state is None else state] if trace else None
+    for var, step in _compiled(p):
+        tab, ops = step or (None, None)
+        if state is None and tab is not None:
+            node = tab[bits[var], node]
+        elif ops is not None:
+            if state is None:
+                state = np.eye(len(ops[0]), dtype=dtype)[node]
             state = np.where(bits[var][:, None], state @ ops[1],
                              state @ ops[0])
             if nondet:
                 # stay a 0/1 indicator: unclamped path counts overflow
                 np.minimum(state, 1, out=state)
         if trace:
-            states.append(state)
+            states.append(node if state is None else state)
     if trace:
         return states
     idx = [a - 1 for a in p.accept]
-    if det:
-        return np.isin(state, idx).view(np.uint8)
+    if state is None:
+        hit = np.isin(node, idx)
+        return hit.view(np.uint8) if det or nondet else hit.astype(float)
     mass = state[:, idx]
     if p.semantics == "quantum":
         mass = np.abs(mass) ** 2

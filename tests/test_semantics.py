@@ -12,7 +12,7 @@ from conftest import (det_by_hand, nondet_by_paths, prob_by_hand,
                       quantum_by_hand, random_det_program,
                       random_nondet_program, random_prob_program,
                       random_program, random_quantum_program,
-                      random_reversible_det_program)
+                      random_reversible_det_program, random_unitary)
 from kobdd import (Assignment, Program, VariableOrder, accept_prob,
                    accept_prob_batch, all_assignments_array,
                    build_mxpj_id_obdd, compile_to_nondet, compile_to_prob,
@@ -405,8 +405,8 @@ def test_identity_levels_are_skipped_bit_exactly(monkeypatch, semantics):
         p = random_program(random.Random(seed), semantics, n=3, k=2)
         q = _with_identities(p)
         assert validate(q).ok
-        ops = [o for _, o in kernel._compiled(q)]
-        assert all(o is None for o in ops[1::2])
+        steps = [step for _, step in kernel._compiled(q)]
+        assert all(step is None for step in steps[1::2])
         xs = all_assignments_array(q.n)
         skipped = _run_all(q, xs)
         assert len(skipped) == 1 + q.k * q.n + 1
@@ -414,9 +414,14 @@ def test_identity_levels_are_skipped_bit_exactly(monkeypatch, semantics):
         assert skipped[0] == kernel._kernel(p, xs[:, :p.n], "test",
                                             (semantics,)).tobytes()
         with monkeypatch.context() as m:
-            m.setattr(kernel, "_is_identity", lambda lvl, ops: False)
+            m.setattr(kernel, "_is_identity", lambda lvl, tab: False)
             run = dataclasses.replace(q)        # no compiled levels yet
-            assert all(o is not None for _, o in kernel._compiled(run))
+            steps = [step for _, step in kernel._compiled(run)]
+            # each identity now runs, as a table of every node to itself
+            assert all(step is not None for step in steps)
+            for step, lvl in zip(steps[1::2], p.levels):
+                assert np.array_equal(step[0],
+                                      [np.arange(lvl.width_out)] * 2)
             assert _run_all(run, xs) == skipped
 
 
@@ -429,3 +434,141 @@ def test_identity_with_negative_zeros_is_not_skipped(semantics):
     for (_, ops), lvl in zip(kernel._compiled(q)[1::2], p.levels):
         assert (ops is None) == (lvl.width_out == 1)
     assert len(state_trace(q, "0110")) == q.k * q.n + 1
+
+
+_EMBED = {"deterministic": lambda p: p, "nondeterministic": compile_to_nondet,
+          "probabilistic": compile_to_prob, "quantum": compile_to_quantum}
+
+
+def _tables(p: Program) -> list[bool]:
+    """Per level: does the kernel gather it (a table, or an identity)?"""
+    return [step is None or step[0] is not None
+            for _, step in kernel._compiled(p)]
+
+
+def _against_dense(monkeypatch, p: Program, xs: np.ndarray,
+                   trace_rows: int = 64) -> None:
+    """p's outputs on xs, and its traced states on the first trace_rows
+    of them, are the bytes of the all-dense path: a run in which no
+    branch but a deterministic one is a table."""
+    def run(q):
+        out = kernel._kernel(q, xs, "test", (q.semantics,))
+        states = kernel._kernel(q, xs[:trace_rows], "test", (q.semantics,),
+                                trace=True)
+        return [out.tobytes()] + [s.tobytes() for s in states]
+
+    fast = run(p)
+    keep = kernel._successors
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_successors", lambda semantics, t, w:
+                  keep(semantics, t, w) if semantics == "deterministic"
+                  else None)
+        dense = dataclasses.replace(p)          # no compiled levels yet
+        if p.semantics != "deterministic":
+            assert not any(_tables(dense))
+        slow = run(dense)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("k, d, rows", [(1, 4, 512), (2, 8, 256)])
+def test_basis_rows_match_the_dense_path_on_mxpj(monkeypatch, k, d, rows):
+    det = build_mxpj_id_obdd(k, d)
+    xs = np.random.default_rng(k * 100 + d).integers(0, 2, (rows, det.n),
+                                                     dtype=np.uint8)
+    want = eval_det_batch(det, xs)
+    for semantics, embed in _EMBED.items():
+        p = embed(det)
+        assert all(_tables(p))
+        _against_dense(monkeypatch, p, xs, trace_rows=16)
+        got = kernel._kernel(p, xs, "test", (semantics,))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("semantics", list(_EMBED))
+def test_basis_rows_match_the_dense_path_on_random_programs(monkeypatch,
+                                                            semantics):
+    for seed in range(6):
+        rng = random.Random(seed)
+        p = random_program(rng, semantics, n=4, k=2)
+        _against_dense(monkeypatch, p, all_assignments_array(4))
+        det = (random_reversible_det_program(rng, n=4, k=2, w=4)
+               if semantics == "quantum" else random_det_program(rng, 4, 2))
+        _against_dense(monkeypatch, _EMBED[semantics](det),
+                       all_assignments_array(4))
+
+
+def _random_branch(semantics: str, nprng, w: int):
+    if semantics == "nondeterministic":
+        return frozenset((s, t) for s in range(1, w + 1)
+                         for t in range(1, w + 1) if nprng.random() < 0.45)
+    if semantics == "quantum":
+        return random_unitary(nprng, w)
+    m = nprng.random((w, w)) + 1e-3
+    return m / m.sum(axis=0, keepdims=True)
+
+
+@pytest.mark.parametrize("semantics", ["nondeterministic", "probabilistic",
+                                       "quantum"])
+@pytest.mark.parametrize("at", [0, 2, -1])
+def test_basis_rows_turn_dense_at_the_first_dense_level(monkeypatch,
+                                                        semantics, at):
+    p = _EMBED[semantics](build_mxpj_id_obdd(1, 2))
+    nprng = np.random.default_rng(7)
+    levels = list(p.levels)
+    old = levels[at]
+    t0, t1 = (_random_branch(semantics, nprng, old.width_in)
+              for _ in range(2))
+    levels[at] = dataclasses.replace(old, t0=t0, t1=t1)
+    q = dataclasses.replace(p, levels=tuple(levels))
+    assert validate(q).ok
+    tables = _tables(q)
+    assert not tables[at] and sum(tables) == len(tables) - 1
+    _against_dense(monkeypatch, q, all_assignments_array(q.n))
+
+
+def _nudged(semantics: str, how: str):
+    """Branch t0 of level 1 of the compiled mxpj:1,2, bent out of being a
+    0/1 function in one place, and the program holding it."""
+    p = _EMBED[semantics](build_mxpj_id_obdd(1, 2))
+    lvl = p.levels[0]
+    if semantics == "nondeterministic":
+        edges = set(lvl.t0)
+        source = 2
+        target = next(t for s, t in edges if s == source)
+        if how == "no edge":
+            edges.discard((source, target))
+        else:
+            edges.add((source, target % lvl.width_out + 1))
+        t0 = frozenset(edges)
+    else:
+        t0 = lvl.t0.copy()
+        col = t0[:, 1]
+        hot = int(np.flatnonzero(col)[0])
+        cold = (hot + 1) % len(col)
+        if how == "above one":
+            col[hot] = 1.0000000000000002
+        elif how == "negative zero":
+            col[cold] = -0.0
+        elif how == "1-0j":
+            col[hot] = complex(1.0, -0.0)
+        else:                                   # "two ones"
+            col[cold] = 1.0
+    return p, dataclasses.replace(
+        p, levels=(dataclasses.replace(lvl, t0=t0),) + p.levels[1:])
+
+
+@pytest.mark.parametrize("semantics, how", [
+    ("probabilistic", "above one"), ("quantum", "above one"),
+    ("probabilistic", "negative zero"), ("quantum", "negative zero"),
+    ("quantum", "1-0j"),
+    ("probabilistic", "two ones"), ("quantum", "two ones"),
+    ("nondeterministic", "no edge"), ("nondeterministic", "two edges")])
+def test_near_functions_stay_dense(monkeypatch, semantics, how):
+    p, q = _nudged(semantics, how)
+    lvl = q.levels[0]
+    assert kernel._successors(semantics, p.levels[0].t0, lvl.width_in) \
+        is not None
+    assert kernel._successors(semantics, lvl.t0, lvl.width_in) is None
+    tables = _tables(q)
+    assert not tables[0] and all(tables[1:])
+    _against_dense(monkeypatch, q, all_assignments_array(q.n))
