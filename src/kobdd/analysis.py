@@ -26,15 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import FunctionOracle
-from .program import (Program, VariableOrder, all_assignments_array,
-                      sweep_rows, width)
-
-#: The size parameter each chain is stated over: w (width) or d (the
-#: pointer-jumping alphabet size), in the canonical chain order.
-CHAIN_SIZE = {"hi-n": "w", "hi-p": "w", "hi-q": "d", "s5-obdd": "d",
-              "s5-nobdd": "d", "s5-pobdd": "d", "h-kobdd": "w"}
-
-CHAINS = tuple(CHAIN_SIZE)
+from .program import (CHAIN_SIZE, CHAINS, Program, VariableOrder,
+                      all_assignments_array, sweep_rows, width)
 
 MODELS = ("det", "nondet", "prob", "quantum")
 

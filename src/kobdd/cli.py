@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import itertools
 import sys
@@ -29,19 +30,41 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (CHAIN_SIZE, CHAINS, Constants, check_chain,
-                       check_table_size, default_grid, optimal_order,
-                       subfunction_profile)
-from .constructions import (build_mxpj_id_obdd, build_saf_2k_obdd,
-                            compile_to_nondet, compile_to_prob,
-                            compile_to_quantum)
-from .functions import SAFLayout, parse_function, truth_table_function
-from .program import (EXHAUSTIVE_LIMIT, SWEEP_CHUNK, Assignment,
-                      ProgramFormatError, VariableOrder,
+from .program import (CHAIN_SIZE, CHAINS, EXHAUSTIVE_LIMIT, SWEEP_CHUNK,
+                      Assignment, ProgramFormatError, VariableOrder,
                       all_assignments_array, load_program, serialize,
                       sweep_rows, validate, width)
-from .semantics import (accept_prob, accept_prob_batch, eval_det,
-                        eval_det_batch, eval_nondet, eval_nondet_batch)
+
+#: The names this module uses from each module but ``program``, which a
+#: command imports only when it needs them (see :func:`_need`).
+_LAZY = {
+    "analysis": ("Constants", "check_chain", "check_table_size",
+                 "default_grid", "optimal_order", "subfunction_profile"),
+    "constructions": ("build_mxpj_id_obdd", "build_saf_2k_obdd",
+                      "compile_to_nondet", "compile_to_prob",
+                      "compile_to_quantum"),
+    "functions": ("SAFLayout", "parse_function", "truth_table_function"),
+    "semantics": ("accept_prob", "accept_prob_batch", "eval_det",
+                  "eval_det_batch", "eval_nondet", "eval_nondet_batch"),
+}
+
+
+def _need(*modules: str) -> None:
+    """Import modules and bind their names in _LAZY as globals here.  A
+    name already bound, say one patched by a caller, is kept."""
+    for module in modules:
+        found = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    """A name in _LAZY, looked up from outside, imports its module."""
+    for module, names in _LAZY.items():
+        if name in names:
+            _need(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _say(text: str) -> None:
@@ -156,6 +179,7 @@ def _predict_batch(p, xs: np.ndarray) -> np.ndarray:
 
 
 def _cmd_build(args) -> int:
+    _need("constructions", "functions")
     descriptor = args.descriptor
     kind, _, rest = descriptor.partition(":")
     parts = [s.strip() for s in rest.split(",")] if rest else []
@@ -197,6 +221,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _need("semantics")
     program = _load_valid(args.program)
     x = _load_bits(args.input)
     if program.semantics == "deterministic":
@@ -210,6 +235,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
+    _need("functions", "semantics")
     program = _load_valid(args.program)
     f = _function_from_arg(args.function)
     if f.n != program.n:
@@ -249,6 +275,7 @@ def _cmd_check_equiv(args) -> int:
 
 
 def _cmd_subfn(args) -> int:
+    _need("analysis", "functions")
     f = _function_from_arg(args.function)
     check_table_size(f.n)        # before an order of f.n variables is built
     cuts = range(2, f.n) if args.cut == "all" else [int(args.cut)]
@@ -271,6 +298,7 @@ def _cmd_subfn(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    _need("analysis")
     constants = _parse_constants(args.constants)
     if args.chain == "all":
         if args.k or args.w or args.d:

@@ -210,17 +210,23 @@ def _require_deterministic(p: Program, who: str) -> None:
                          f"got {p.semantics}")
 
 
+def _per_successor_map(make):
+    """(t, width_out) -> make(t, width_out), made once per distinct
+    successor map and width in one call, and shared."""
+    # keyed on the types too: (1.0, 2) == (1, 2), but only ints index
+    return _memo(lambda t, width_out: (tuple(t), tuple(map(type, t)),
+                                       width_out), make)
+
+
 def _successor_matrices(dtype):
     """(t, width_out) -> the frozen 0/1 (width_out, len(t)) matrix routing
-    node i to successor t[i], made once per distinct key in one call."""
+    node i to successor t[i]."""
     def make(t: tuple, width_out: int) -> np.ndarray:
         m = np.zeros((width_out, len(t)), dtype=dtype)
         m[np.asarray(t) - 1, np.arange(len(t))] = 1.0
         m.setflags(write=False)
         return m
-    # keyed on the types too: (1.0, 2) == (1, 2), but only ints index
-    return _memo(lambda t, width_out: (tuple(t), tuple(map(type, t)),
-                                       width_out), make)
+    return _per_successor_map(make)
 
 
 def compile_to_quantum(p: Program) -> Program:
@@ -254,10 +260,11 @@ def compile_to_quantum(p: Program) -> Program:
 def compile_to_nondet(p: Program) -> Program:
     """Graph-of-function embedding; reachable sets stay singletons."""
     _require_deterministic(p, "compile_to_nondet")
+    # frozenset() of a frozenset is that set, so nondet_level shares it
+    edges = _per_successor_map(lambda t, _: frozenset(enumerate(t, 1)))
     levels = tuple(
         nondet_level(l.variable, l.width_in, l.width_out,
-                     ((i + 1, succ) for i, succ in enumerate(l.t0)),
-                     ((i + 1, succ) for i, succ in enumerate(l.t1)))
+                     edges(l.t0, l.width_out), edges(l.t1, l.width_out))
         for l in p.levels)
     return Program(semantics="nondeterministic", n=p.n, k=p.k,
                    order=p.order, levels=levels, initial=p.initial,

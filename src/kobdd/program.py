@@ -55,6 +55,7 @@ distinct matrix once.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -76,6 +77,14 @@ STOCHASTIC_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 24
 #: Rows per call of a batch reference oracle in :func:`sweep_rows`.
 SWEEP_CHUNK = 1 << 14
+
+#: The size parameter each chain of ``analysis`` is stated over: w (width)
+#: or d (the pointer-jumping alphabet size), in the canonical chain order.
+#: Here, so that the command line names the chains without ``analysis``.
+CHAIN_SIZE = {"hi-n": "w", "hi-p": "w", "hi-q": "d", "s5-obdd": "d",
+              "s5-nobdd": "d", "s5-pobdd": "d", "h-kobdd": "w"}
+
+CHAINS = tuple(CHAIN_SIZE)
 
 
 class ProgramFormatError(ValueError):
@@ -243,7 +252,10 @@ def _memo(key, make):
     table = {}
     def get(*args):
         k = key(*args)
-        return table[k] if k in table else table.setdefault(k, make(*args))
+        v = table.get(k, table)     # one lookup; the table itself is a miss
+        if v is table:
+            v = table[k] = make(*args)
+        return v
     return get
 
 
@@ -664,37 +676,43 @@ def _decode_items(items: list[str], semantics: str, width_in: int,
                    width_out)
 
 
-def _read_layout(text: str) -> Program | None:
+def _read_layout(text: str | bytes) -> Program | None:
     """The program in ``text`` if it is laid out exactly as serialize (or
     save_program, with its newline) writes it and decodes cleanly; None
     otherwise, so that the json.loads path reads it and names any error.
 
     The text is scanned by index: only transition bodies are copied out.
+    A file's bytes are cut at the same literals, as bytes, and each piece
+    is decoded as UTF-8 before json.loads sees it.
     """
-    start = text.find(_LEVELS)
+    enc, dec = ((str, str) if isinstance(text, str)
+                else (str.encode, bytes.decode))
+    opening, first, *fields, last, more = map(enc, (_LEVELS, *_LEVEL,
+                                                    "\n ]", ",\n"))
+    start = text.find(opening)
     if start < 0:
         return None
-    pos, levels = start + len(_LEVELS), []
-    while text.startswith(_LEVEL[0], pos):
-        pos += len(_LEVEL[0])
+    pos, levels = start + len(opening), []
+    while text.startswith(first, pos):
+        pos += len(first)
         spans = []
-        for lit in _LEVEL[1:]:
+        for lit in fields:
             end = text.find(lit, pos)
             if end < 0:
                 return None
             spans.append(slice(pos, end))
             pos = end + len(lit)
         levels.append(spans)
-        if text.startswith("\n ]", pos):
+        if text.startswith(last, pos):
             break
-        if not text.startswith(",\n", pos):
+        if not text.startswith(more, pos):
             return None
-        pos += 2
+        pos += len(more)
     else:
         return None
-    head = text[:start] + '\n "levels": null' + text[pos + 3:]
-    head = head[:-1] if head.endswith("\n") else head
     try:
+        head = dec(text[:start]) + '\n "levels": null' + dec(text[pos + 3:])
+        head = head[:-1] if head.endswith("\n") else head
         doc = json.loads(head)
         # the re-dump rules out other whitespace, escaped and repeated keys
         if (not isinstance(doc, dict)
@@ -709,11 +727,12 @@ def _read_layout(text: str) -> Program | None:
         # one decode per distinct body and widths; equal bodies share it
         transition = _memo(lambda body, _, w_in, w_out, where:
                            (body, w_in, w_out),
-                           lambda body, *shape: decode(read(body), *shape))
+                           lambda body, *shape: decode(read(dec(body)),
+                                                       *shape))
         decoded = []
         for t0, t1, *numbers in levels:
             rl = dict(zip(("var", "width_in", "width_out"),
-                          (json.loads(text[s]) for s in numbers)),
+                          (json.loads(dec(text[s])) for s in numbers)),
                       t0=text[t0], t1=text[t1])
             decoded.append(_decode_level(rl, "", semantics, transition))
     except (ValueError, RecursionError):
@@ -721,7 +740,7 @@ def _read_layout(text: str) -> Program | None:
     return Program(levels=tuple(decoded), **fields)
 
 
-def deserialize(text: str) -> Program:
+def deserialize(text: str | bytes) -> Program:
     """Decode a JSON program document, rejecting malformed input.
 
     Structural problems (bad JSON, unknown semantics, shape or range
@@ -732,8 +751,13 @@ def deserialize(text: str) -> Program:
 
     A text in the writer's own layout is read by :func:`_read_layout`;
     every other text, and every error, takes json.loads of the whole text.
+    Bytes are a file's: those not in the layout are read as text mode
+    reads a file, UTF-8 with universal newlines, and then as that text.
     """
     program = _read_layout(text)
+    if program is None and isinstance(text, bytes):
+        text = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+        program = _read_layout(text)
     if program is not None:
         return program
     try:
@@ -758,5 +782,5 @@ def save_program(p: Program, path: str) -> None:
 
 
 def load_program(path: str) -> Program:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:    # one copy of the file: its bytes
         return deserialize(fh.read())

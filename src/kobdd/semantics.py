@@ -80,10 +80,12 @@ def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
     The table is the (2, width_in) successor array, read as
     ``tab[bit, node]``, of a level whose two branches both have
     :func:`_successors`, else None.  The operators are the two dense
-    branches, in every semantics but deterministic.  An identity level is
-    None, and the kernel skips it.  The list is kept in the instance
-    dict, as functools.cached_property does; Program and its levels are
-    frozen, so it never goes stale.
+    branches, in every semantics but deterministic.  A level with a table
+    holds a function that returns them instead, so that they are made
+    only when a dense row reaches one (a trace, or a row past a level
+    with no table).  An identity level is None, and the kernel skips it.
+    The list is kept in the instance dict, as functools.cached_property
+    does; Program and its levels are frozen, so it never goes stale.
     """
     levels = p.__dict__.get("_kernel_levels")
     if levels is None:
@@ -91,6 +93,11 @@ def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
             return _memo(lambda t, *widths: (id(t), *widths),
                          partial(make, p.semantics))
         succ, dense = once(_successors), once(_dense)
+
+        def ops(lvl):
+            return tuple(dense(t, lvl.width_in, lvl.width_out)
+                         for t in (lvl.t0, lvl.t1))
+
         levels = []
         for lvl in p.levels:
             s0, s1 = succ(lvl.t0, lvl.width_in), succ(lvl.t1, lvl.width_in)
@@ -100,8 +107,7 @@ def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
             elif p.semantics == "deterministic":
                 step = tab, None
             else:
-                step = tab, tuple(dense(t, lvl.width_in, lvl.width_out)
-                                  for t in (lvl.t0, lvl.t1))
+                step = tab, ops(lvl) if tab is None else partial(ops, lvl)
             levels.append((lvl.variable - 1, step))
         levels = p.__dict__["_kernel_levels"] = tuple(levels)
     return levels
@@ -140,10 +146,10 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
         if state is None and tab is not None:
             node = tab[bits[var], node]
         elif ops is not None:
+            op0, op1 = ops() if callable(ops) else ops
             if state is None:
-                state = np.eye(len(ops[0]), dtype=dtype)[node]
-            state = np.where(bits[var][:, None], state @ ops[1],
-                             state @ ops[0])
+                state = np.eye(len(op0), dtype=dtype)[node]
+            state = np.where(bits[var][:, None], state @ op1, state @ op0)
             if nondet:
                 # stay a 0/1 indicator: unclamped path counts overflow
                 np.minimum(state, 1, out=state)

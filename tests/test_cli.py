@@ -168,6 +168,55 @@ def test_validate_semantic_violation(tmp_path, capsys):
     assert code == 2 and "column" in out
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("emb", ["", ",nondet", ",prob", ",quantum"])
+def test_validate_reads_a_file_as_utf8_text(tmp_path, capsys, emb):
+    """A file is read as text mode reads it: UTF-8 with universal
+    newlines, so CRLF and CR copies of a built file are the same program,
+    and a BOM, an invalid byte or a non-JSON byte anywhere is an error."""
+    path = tmp_path / "p.json"
+    _run(capsys, ["build", f"mxpj:1,2{emb}", "-o", str(path)])
+    data = path.read_bytes()
+    ok = _run(capsys, ["validate", str(path)])
+    assert ok[0] == 0
+    head = data.index(b'"semantics"') + 4
+    body = data.index(b'"t0": ') + len(b'"t0": ')
+    end = data.index(b',\n   "t1": ', body)
+    line = data.count(b"\n", 0, body) + 1
+    column = body - data.rfind(b"\n", 0, body)
+
+    def bad_byte(at):
+        return (2, "", f"error: 'utf-8' codec can't decode byte 0xff in "
+                       f"position {at}: invalid start byte\n")
+
+    def not_json(shift):
+        return (2, "", f"error: malformed program document: invalid JSON: "
+                       f"Expecting value: line {line} column "
+                       f"{column + shift} (char {body + shift})\n")
+
+    cases = {
+        "crlf": (data.replace(b"\n", b"\r\n"), ok),
+        "cr": (data.replace(b"\n", b"\r"), ok),
+        "bom": (_BOM + data, (2, "", "error: malformed program document: "
+                              "invalid JSON: Unexpected UTF-8 BOM (decode "
+                              "using utf-8-sig): line 1 column 1 (char 0)\n")),
+        "bad byte in the header": (data[:head] + b"\xff" + data[head:],
+                                   bad_byte(head)),
+        "bad byte in a transition": (data[:body + 3] + b"\xff"
+                                     + data[body + 3:], bad_byte(body + 3)),
+        # each is JSON to json.loads of the bytes, but not of the text
+        "bom before a transition": (data[:body] + _BOM + data[body:],
+                                    not_json(0)),
+        "utf-16 transition": (data[:body] + data[body:end].decode()
+                              .encode("utf-16-le") + data[end:], not_json(1)),
+    }
+    for name, (copy, want) in cases.items():
+        path.write_bytes(copy)
+        assert _run(capsys, ["validate", str(path)]) == want, name
+
+
 # ---------------------------------------------------------------------------
 # check-equiv
 

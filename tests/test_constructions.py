@@ -214,6 +214,25 @@ def test_equal_transitions_share_one_frozen_matrix(compile_):
     assert serialize(q) == serialize(compile_(det))
 
 
+def test_nondet_compiler_shares_one_edge_set_per_successor_map():
+    det = build_mxpj_id_obdd(2, 4)
+    distinct = {t for l in det.levels for t in (l.t0, l.t1)}
+    q = compile_to_nondet(det)
+    sets = {id(t): t for l in q.levels for t in (l.t0, l.t1)}
+    assert len(sets) == len(distinct) < 2 * len(q.levels)
+    for l, m in zip(det.levels, q.levels):
+        assert m.t0 == set(enumerate(l.t0, 1))
+        assert m.t1 == set(enumerate(l.t1, 1))
+    # (1.0, 2) == (1, 2), and its edges keep the float as before
+    p = Program(semantics="deterministic", n=1, k=1,
+                order=VariableOrder.identity(1),
+                levels=(det_level(1, (1, 2), (1.0, 2), 2),),
+                initial=1, accept=frozenset({1}))
+    level = compile_to_nondet(p).levels[0]
+    assert level.t0 is not level.t1
+    assert sorted(type(s).__name__ for _, s in level.t1) == ["float", "int"]
+
+
 def test_compilers_key_successors_on_their_types():
     # (1.0, 2) == (1, 2), but a float successor indexes no matrix
     p = Program(semantics="deterministic", n=1, k=1,

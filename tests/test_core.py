@@ -4,6 +4,7 @@ import dataclasses
 import json
 import random
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -494,12 +495,18 @@ def _outcome_via_json(text: str):
     return _outcome(json.dumps(doc))
 
 
-def _assert_read_as_json_reads(text: str) -> None:
-    got, want = _outcome(text), _outcome_via_json(text)
+def _assert_same_outcome(got, want) -> None:
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
     else:
         assert got.structurally_equal(want)
+
+
+def _assert_read_as_json_reads(text: str) -> None:
+    got = _outcome(text)
+    _assert_same_outcome(got, _outcome_via_json(text))
+    # the same text as a file's bytes, as load_program passes it
+    _assert_same_outcome(_outcome(text.encode()), got)
 
 
 _SENTINEL = "@@value@@"
@@ -751,3 +758,21 @@ def test_complex_decoder_names_first_bad_cell(cell):
             deserialize(text)
         assert str(info.value) == \
             "levels[0].t1[5]: complex entries need 're' and 'im'"
+
+
+def test_load_program_holds_the_file_about_once(tmp_path):
+    from kobdd import (build_mxpj_id_obdd, compile_to_quantum, load_program,
+                       save_program)
+    path = tmp_path / "q.json"
+    p = compile_to_quantum(build_mxpj_id_obdd(2, 4))
+    save_program(p, str(path))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        q = load_program(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.structurally_equal(p)
+    # one copy of the file's bytes, not bytes and str at once
+    assert peak < 1.5 * size, (peak, size)

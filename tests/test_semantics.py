@@ -572,3 +572,28 @@ def test_near_functions_stay_dense(monkeypatch, semantics, how):
     tables = _tables(q)
     assert not tables[0] and all(tables[1:])
     _against_dense(monkeypatch, q, all_assignments_array(q.n))
+
+
+def test_table_levels_make_dense_operators_only_for_dense_rows(monkeypatch):
+    det = build_mxpj_id_obdd(1, 4)
+    xs = np.random.default_rng(5).integers(0, 2, (64, det.n), dtype=np.uint8)
+    made = []
+    keep = kernel._dense
+    monkeypatch.setattr(kernel, "_dense",
+                        lambda semantics, t, *widths:
+                        made.append(id(t)) or keep(semantics, t, *widths))
+    for semantics, embed in _EMBED.items():
+        if semantics == "deterministic":
+            continue
+        p = embed(det)
+        want = kernel._kernel(p, xs, "test", (semantics,)).tobytes()
+        assert all(_tables(p)) and made == []
+        # a trace starts dense, so each distinct transition is made once
+        states = kernel._kernel(p, xs, "test", (semantics,), trace=True)
+        ids = {id(t) for l in p.levels for t in (l.t0, l.t1)}
+        assert made and len(made) == len(set(made)) and set(made) <= ids
+        kernel._kernel(p, xs, "test", (semantics,), trace=True)
+        assert len(made) == len(set(made))
+        assert kernel._kernel(p, xs, "test", (semantics,)).tobytes() == want
+        assert len(states) == len(p.levels) + 1
+        made.clear()
