@@ -23,8 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .functions import FunctionOracle
 from .program import (CHAIN_SIZE, CHAINS, Program, VariableOrder,
                       all_assignments_array, sweep_rows, width)
@@ -71,6 +69,7 @@ def _refine(parent: np.ndarray, rows, p: int):
     bits in ascending variable order; equal ids mean equal restrictions.
     A new id ranks, within its row, the pair (id at x = 0, id at x = 1).
     """
+    import numpy as np
     s = parent.shape[1].bit_length() - 1
     step = 1 << (17 - s)                 # np.unique sorts <= 2^16 keys
     out = np.empty((len(rows), 1 << (s - 1)), np.int32)
@@ -104,6 +103,7 @@ def _lattice_counts(table: np.ndarray, n: int) -> np.ndarray:
     Layers of int32 ids run top-down by size, two at a time.  A mask's
     parent is mask | its lowest unset bit x, so x is bit x of its index.
     """
+    import numpy as np
     size = np.array([m.bit_count() for m in range(1 << n)])
     counts = np.zeros(1 << n, np.int64)
     row = np.zeros(1 << n, np.intp)      # a mask's row in its layer; full: 0
@@ -188,6 +188,7 @@ def optimal_order(f: FunctionOracle) -> tuple[int, VariableOrder]:
     lowest variable whose removal attains the minimum.  Past the 2^n
     guard, ``truth_table_of`` raises before any count is made.
     """
+    import numpy as np
     if f.n < 3:
         raise ValueError(f"lattice method needs 3 <= n <= {LATTICE_GUARD}, "
                          f"got n = {f.n}")

@@ -28,8 +28,6 @@ import itertools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .program import (CHAIN_SIZE, CHAINS, EXHAUSTIVE_LIMIT, SWEEP_CHUNK,
                       Assignment, ProgramFormatError, VariableOrder,
                       all_assignments_array, load_program, serialize,
@@ -167,6 +165,7 @@ def _load_valid(path: str):
 
 
 def _predict_batch(p, xs: np.ndarray) -> np.ndarray:
+    import numpy as np
     if p.semantics == "deterministic":
         return eval_det_batch(p, xs)
     if p.semantics == "nondeterministic":
@@ -235,6 +234,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check_equiv(args) -> int:
+    import numpy as np
     _need("functions", "semantics")
     program = _load_valid(args.program)
     f = _function_from_arg(args.function)

@@ -16,8 +16,6 @@ two survivors is still possible", not the whole field.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .functions import SAFLayout, _check_mxpj_size
 from .program import (Program, VariableOrder, _memo, det_level,
                       matrix_level, nondet_level)
@@ -221,6 +219,7 @@ def _per_successor_map(make):
 def _successor_matrices(dtype):
     """(t, width_out) -> the frozen 0/1 (width_out, len(t)) matrix routing
     node i to successor t[i]."""
+    import numpy as np
     def make(t: tuple, width_out: int) -> np.ndarray:
         m = np.zeros((width_out, len(t)), dtype=dtype)
         m[np.asarray(t) - 1, np.arange(len(t))] = 1.0
@@ -238,7 +237,7 @@ def compile_to_quantum(p: Program) -> Program:
     """
     _require_deterministic(p, "compile_to_quantum")
     size = p.levels[0].width_in
-    matrix = _successor_matrices(np.complex128)
+    matrix = _successor_matrices("complex128")
     levels = []
     for idx, lvl in enumerate(p.levels, start=1):
         if lvl.width_in != size or lvl.width_out != size:
@@ -274,7 +273,7 @@ def compile_to_nondet(p: Program) -> Program:
 def compile_to_prob(p: Program) -> Program:
     """0-1 column-stochastic embedding; all probabilities stay 0 or 1."""
     _require_deterministic(p, "compile_to_prob")
-    matrix = _successor_matrices(np.float64)
+    matrix = _successor_matrices("float64")
     levels = tuple(
         matrix_level(l.variable, matrix(l.t0, l.width_out),
                      matrix(l.t1, l.width_out))

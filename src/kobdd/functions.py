@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .program import Assignment
 
 
@@ -374,6 +372,7 @@ def _lsb_values(cols: np.ndarray) -> np.ndarray:
     The dtype also holds 2**width, so the value can be reduced mod any
     modulus up to that.
     """
+    import numpy as np
     width = cols.shape[-1]
     weights = 1 << np.arange(width)
     return cols @ weights.astype(np.min_scalar_type(1 << width))
@@ -388,6 +387,7 @@ def _saf_batch(bits: np.ndarray, layout: SAFLayout) -> np.ndarray:
     block is addressed.  The extra last slot stays -1, so a walk at -1
     stays there.
     """
+    import numpy as np
     m, k, w = len(bits), layout.k, layout.w
     ak, aw = layout.addr_k_bits, layout.addr_w_bits
     blocks = bits[:, :layout.covered].reshape(m, layout.blocks, layout.a)
@@ -411,6 +411,7 @@ def _saf_batch(bits: np.ndarray, layout: SAFLayout) -> np.ndarray:
 
 def _mxpj_batch(bits: np.ndarray, k: int, d: int) -> np.ndarray:
     """mxpj_eval(decode_mxpj(x)) on every row."""
+    import numpy as np
     m, t = len(bits), (d - 1).bit_length()
     # (m, 2k, d): side A's k tables, then side B's
     tables = _lsb_values(bits.reshape(m, 2 * k, d, t))
@@ -453,12 +454,14 @@ class FunctionOracle:
 
 
 def xor_function(n: int) -> FunctionOracle:
+    import numpy as np
     return FunctionOracle(
         f"xor:{n}", n, lambda x: sum(x.bits) & 1,
         lambda xs: np.bitwise_xor.reduce(xs, axis=1))
 
 
 def and_function(n: int) -> FunctionOracle:
+    import numpy as np
     return FunctionOracle(
         f"and:{n}", n, lambda x: int(all(x.bits)),
         lambda xs: np.bitwise_and.reduce(xs, axis=1))
@@ -467,6 +470,7 @@ def and_function(n: int) -> FunctionOracle:
 def constant_function(n: int, value: int) -> FunctionOracle:
     if value not in (0, 1):
         raise ValueError("value must be 0 or 1")
+    import numpy as np
     return FunctionOracle(
         f"const{value}:{n}", n, lambda x: value,
         lambda xs: np.full(len(xs), value, np.uint8))
@@ -496,6 +500,7 @@ def truth_table_function(name: str, values: Sequence[int]) -> FunctionOracle:
     if any(v not in (0, 1) for v in values):
         raise ValueError("table entries must be 0 or 1")
     table = tuple(values)
+    import numpy as np
     column = np.array(table, np.uint8)
     return FunctionOracle(name, n, lambda x: table[x.to_int()],
                           lambda xs: column[_lsb_values(xs)])

@@ -50,7 +50,7 @@ must re-dump to its own text), each distinct transition once (equal
 ones share the result), each distinct matrix entry once.  Any other
 text, and any text with an error, is parsed whole by ``json.loads``,
 and that read alone words every error.  :func:`validate` checks each
-distinct matrix once.
+distinct transition once.
 """
 
 from __future__ import annotations
@@ -58,12 +58,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
 from typing import Any, Iterable
-
-import numpy as np
 
 SEMANTICS = ("deterministic", "nondeterministic", "probabilistic", "quantum")
 
@@ -142,6 +141,7 @@ def all_assignments_array(n: int, lo: int = 0,
 
     Row i holds the bits of ``Assignment.from_int(lo + i, n)``.
     """
+    import numpy as np
     if n < 1:
         raise ValueError("n must be positive")
     if n > EXHAUSTIVE_LIMIT:
@@ -160,6 +160,7 @@ def as_rows(xs, n: int) -> np.ndarray:
     The one check of input rows: every evaluator and every batch oracle
     reads its rows through it.  Any dtype whose values are 0 and 1 passes.
     """
+    import numpy as np
     xs = np.asarray(xs)
     if xs.ndim != 2:
         raise ValueError(f"rows must form an (m, {n}) matrix, "
@@ -183,6 +184,7 @@ def sweep_rows(f, xs: np.ndarray) -> np.ndarray:
     once per row, each row an Assignment of its own: a whole-block
     ``tolist()`` adds ~3 MB of peak RSS.
     """
+    import numpy as np
     batch = getattr(f, "batch", None)
     if batch is None:
         return np.fromiter((f(Assignment(tuple(row.tolist())))
@@ -240,10 +242,18 @@ class TransitionLevel:
 
 def _frozen_array(a: np.ndarray) -> np.ndarray:
     """a as a read-only ndarray that owns its data; copied unless it is one."""
+    import numpy as np
     if type(a) is not np.ndarray or a.flags.writeable or not a.flags.owndata:
         a = np.array(a, copy=True)
         a.setflags(write=False)
     return a
+
+
+def _is_ndarray(t: Any) -> bool:
+    """isinstance(t, numpy.ndarray), without importing numpy: no ndarray
+    exists before numpy is imported."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(t, np.ndarray)
 
 
 def _memo(key, make):
@@ -318,12 +328,10 @@ class Program:
                (b.variable, b.width_in, b.width_out):
                 return False
             for ta, tb in ((a.t0, b.t0), (a.t1, b.t1)):
-                if isinstance(ta, np.ndarray):
-                    if not isinstance(tb, np.ndarray):
-                        return False
-                    if ta.dtype != tb.dtype or ta.shape != tb.shape:
-                        return False
-                    if ta.tobytes() != tb.tobytes():
+                if _is_ndarray(ta):
+                    if not (_is_ndarray(tb) and ta.dtype == tb.dtype
+                            and ta.shape == tb.shape
+                            and ta.tobytes() == tb.tobytes()):
                         return False
                 elif ta != tb:
                     return False
@@ -347,6 +355,7 @@ class ValidationReport:
 def _matrix_faults(m: np.ndarray, width_in: int, width_out: int,
                    semantics: str) -> list[str]:
     """What is wrong with a stochastic or unitary matrix, or []."""
+    import numpy as np
     if m.shape != (width_out, width_in):
         return [f"shape {m.shape} != ({width_out}, {width_in})"]
     if not np.all(np.isfinite(m)):
@@ -417,9 +426,16 @@ def validate(p: Program) -> ValidationReport:
     if bad_accept:
         v.append(f"accept nodes {bad_accept} outside 1..{p.final_width}")
 
-    # one check per distinct matrix and widths; each level keeps its tag
-    faults = _memo(lambda m, *widths: (_matrix_key(m), *widths),
-                   partial(_matrix_faults, semantics=p.semantics))
+    # one check per distinct transition and widths (a matrix by its bits,
+    # a tuple or edge set by its object); each level keeps its tag
+    functional = p.semantics in ("deterministic", "nondeterministic")
+    if functional:
+        faults = _memo(lambda t, *widths: (id(t), *widths),
+                       lambda t, *widths: [_transition_fault(
+                           t, p.semantics, *widths)])
+    else:
+        faults = _memo(lambda m, *widths: (_matrix_key(m), *widths),
+                       partial(_matrix_faults, semantics=p.semantics))
     for i, lvl in enumerate(p.levels):
         if not 1 <= lvl.variable <= p.n:
             v.append(f"levels[{i}]: variable {lvl.variable} out of range")
@@ -427,10 +443,7 @@ def validate(p: Program) -> ValidationReport:
             v.append(f"levels[{i}]: empty level")
             continue
         for which, t in (("t0", lvl.t0), ("t1", lvl.t1)):
-            if p.semantics in ("deterministic", "nondeterministic"):
-                found = [_transition_fault(t, p.semantics, lvl.width_in,
-                                           lvl.width_out)]
-            elif not isinstance(t, np.ndarray):
+            if not functional and not _is_ndarray(t):
                 found = [f"expected a matrix, found {type(t).__name__}"]
             else:
                 found = faults(t, lvl.width_in, lvl.width_out)
@@ -470,6 +483,7 @@ def _entries(t: Any, semantics: str) -> list[str]:
         return [str(s) for s in t]
     if semantics == "nondeterministic":
         return [f"[\n     {s},\n     {d}\n    ]" for s, d in sorted(t)]
+    import numpy as np
     dtype = np.float64 if semantics == "probabilistic" else np.complex128
     # unique on the bits, not the values: -0.0 == 0.0, but the reprs differ
     bits, inv = np.unique(np.ascontiguousarray(t, dtype).reshape(-1)
@@ -504,7 +518,7 @@ def serialize(p: Program) -> str:
     if not p.levels:
         return before + '"levels": []' + after
     # one text per distinct matrix, or per object: (True, 2) == (1, 2)
-    body = _memo(lambda t: _matrix_key(t) if isinstance(t, np.ndarray)
+    body = _memo(lambda t: _matrix_key(t) if _is_ndarray(t)
                  else id(t),
                  lambda t: _encode_list(_entries(t, p.semantics)))
     pieces = [before, '"levels": [\n']
@@ -556,6 +570,7 @@ def _decode_entry(x: Any, semantics: str, where: str) -> float | complex:
 
 def _matrix(entries: Iterable, semantics: str, width_in: int,
             width_out: int) -> np.ndarray:
+    import numpy as np
     dtype = np.float64 if semantics == "probabilistic" else np.complex128
     m = np.fromiter(entries, dtype, width_in * width_out)
     return _frozen_array(m.reshape(width_out, width_in))

@@ -243,6 +243,39 @@ def test_validate_checks_a_shared_matrix_once_and_tags_every_level(
     assert not any(v.startswith("levels[0].t0") for v in violations)
 
 
+def test_validate_checks_a_shared_transition_once_and_tags_every_level(
+        monkeypatch):
+    calls = []
+    fault = program._transition_fault
+    monkeypatch.setattr(program, "_transition_fault",
+                        lambda *a: calls.append(a) or fault(*a))
+    for semantics, good, bad, found in [
+            ("deterministic", (1, 2), (2, 3), "successors [3] outside 1..2"),
+            ("nondeterministic", frozenset({(1, 1), (2, 2)}),
+             frozenset({(1, 2), (2, 3)}), "edges [(2, 3)] out of range")]:
+        copy = type(bad)(list(bad))           # equal to bad, not bad
+        assert copy == bad and copy is not bad
+        levels = (TransitionLevel(1, 2, 2, good, bad),
+                  TransitionLevel(2, 2, 2, good, bad),
+                  TransitionLevel(3, 2, 2, good, copy))
+        p = Program(semantics=semantics, n=3, k=1,
+                    order=VariableOrder.identity(3), levels=levels,
+                    initial=1, accept=frozenset({1}))
+        calls.clear()
+        assert validate(p).violations == tuple(
+            f"levels[{i}].t1: {found}" for i in range(3))
+        assert [a[0] for a in calls] == [good, bad, copy]
+        assert calls[1][0] is bad and calls[2][0] is copy
+    # one object under two pairs of declared widths: two checks
+    level = TransitionLevel(2, 2, 3, good, bad)
+    p = dataclasses.replace(p, levels=(levels[0], level, levels[2]))
+    calls.clear()
+    violations = validate(p).violations
+    assert "levels[0].t1: edges [(2, 3)] out of range" in violations
+    assert not any(v.startswith("levels[1].t1") for v in violations)
+    assert len(calls) == 5
+
+
 def test_matrix_level_owns_what_it_holds():
     base = np.eye(2)
     view = base[:]
