@@ -22,10 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .functions import FunctionOracle
 from .program import (CHAIN_SIZE, CHAINS, Program, VariableOrder,
                       all_assignments_array, sweep_rows, width)
+
+if TYPE_CHECKING:       # annotations only: bounds never loads functions
+    from .functions import FunctionOracle
 
 MODELS = ("det", "nondet", "prob", "quantum")
 

@@ -213,9 +213,10 @@ def _cmd_build(args) -> int:
     if not report.ok:
         raise ValueError("built program failed validation: "
                          + "; ".join(report.violations))
+    text = serialize(program)   # before the summary: out of memory is one line
     _say(f"{program.semantics} program: n={program.n} layers={program.k} "
          f"width={width(program)}")
-    _emit(serialize(program), args.out, "\n")
+    _emit(text, args.out, "\n")
     return 0
 
 

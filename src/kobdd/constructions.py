@@ -4,7 +4,9 @@ plus compilers embedding deterministic programs into the other semantics.
 The XOR-pointer-jumping builder keeps a pair of vertex registers per
 state and XORs addressed blocks into them, so every level map is an
 involution or the identity; that bijectivity is what lets the quantum
-compiler embed it as permutation matrices with zero error.
+compiler embed it as permutations with zero error.  The compilers keep
+a program's levels: a successor tuple is a 0/1 function in every
+semantics.
 
 The shuffled-addressing builder runs one address lookup per layer.  Its
 states track the current search target plus a tiny amount of matching
@@ -16,9 +18,10 @@ two survivors is still possible", not the whole field.
 
 from __future__ import annotations
 
+import dataclasses
+
 from .functions import SAFLayout, _check_mxpj_size
-from .program import (Program, VariableOrder, _memo, det_level,
-                      matrix_level, nondet_level)
+from .program import Program, VariableOrder, det_level
 
 
 class NonReversibleError(ValueError):
@@ -208,76 +211,31 @@ def _require_deterministic(p: Program, who: str) -> None:
                          f"got {p.semantics}")
 
 
-def _per_successor_map(make):
-    """(t, width_out) -> make(t, width_out), made once per distinct
-    successor map and width in one call, and shared."""
-    # keyed on the types too: (1.0, 2) == (1, 2), but only ints index
-    return _memo(lambda t, width_out: (tuple(t), tuple(map(type, t)),
-                                       width_out), make)
-
-
-def _successor_matrices(dtype):
-    """(t, width_out) -> the frozen 0/1 (width_out, len(t)) matrix routing
-    node i to successor t[i]."""
-    import numpy as np
-    def make(t: tuple, width_out: int) -> np.ndarray:
-        m = np.zeros((width_out, len(t)), dtype=dtype)
-        m[np.asarray(t) - 1, np.arange(len(t))] = 1.0
-        m.setflags(write=False)
-        return m
-    return _per_successor_map(make)
-
-
 def compile_to_quantum(p: Program) -> Program:
-    """Permutation embedding of a constant-width bijective program.
-
-    Each successor map becomes the permutation matrix routing amplitude
-    from node i to its successor; outputs match the deterministic
-    program exactly, so the result carries epsilon = 1/2.
-    """
+    """Permutation embedding of a constant-width bijective program, on
+    p's own levels; outputs match p exactly, so epsilon = 1/2."""
     _require_deterministic(p, "compile_to_quantum")
     size = p.levels[0].width_in
-    matrix = _successor_matrices("complex128")
-    levels = []
     for idx, lvl in enumerate(p.levels, start=1):
         if lvl.width_in != size or lvl.width_out != size:
             raise NonReversibleError(
                 f"level {idx}: width {lvl.width_in}->{lvl.width_out} "
                 f"breaks the constant width {size}")
-        mats = []
         for which, t in (("t0", lvl.t0), ("t1", lvl.t1)):
             if sorted(t) != list(range(1, size + 1)):
                 raise NonReversibleError(
                     f"level {idx}: {which} is not a bijection")
-            mats.append(matrix(t, size))
-        levels.append(matrix_level(lvl.variable, mats[0], mats[1]))
-    return Program(semantics="quantum", n=p.n, k=p.k, order=p.order,
-                   levels=tuple(levels), initial=p.initial,
-                   accept=p.accept, epsilon=0.5)
+    return dataclasses.replace(p, semantics="quantum", epsilon=0.5)
 
 
 def compile_to_nondet(p: Program) -> Program:
-    """Graph-of-function embedding; reachable sets stay singletons."""
+    """Graph-of-function embedding of p's levels: singleton reachable sets."""
     _require_deterministic(p, "compile_to_nondet")
-    # frozenset() of a frozenset is that set, so nondet_level shares it
-    edges = _per_successor_map(lambda t, _: frozenset(enumerate(t, 1)))
-    levels = tuple(
-        nondet_level(l.variable, l.width_in, l.width_out,
-                     edges(l.t0, l.width_out), edges(l.t1, l.width_out))
-        for l in p.levels)
-    return Program(semantics="nondeterministic", n=p.n, k=p.k,
-                   order=p.order, levels=levels, initial=p.initial,
-                   accept=p.accept)
+    return dataclasses.replace(p, semantics="nondeterministic", epsilon=None)
 
 
 def compile_to_prob(p: Program) -> Program:
-    """0-1 column-stochastic embedding; all probabilities stay 0 or 1."""
+    """0-1 column-stochastic embedding on p's own levels; all
+    probabilities stay 0 or 1."""
     _require_deterministic(p, "compile_to_prob")
-    matrix = _successor_matrices("float64")
-    levels = tuple(
-        matrix_level(l.variable, matrix(l.t0, l.width_out),
-                     matrix(l.t1, l.width_out))
-        for l in p.levels)
-    return Program(semantics="probabilistic", n=p.n, k=p.k, order=p.order,
-                   levels=levels, initial=p.initial,
-                   accept=p.accept, epsilon=0.5)
+    return dataclasses.replace(p, semantics="probabilistic", epsilon=0.5)

@@ -13,6 +13,10 @@ Four transition encodings share this shape:
 * probabilistic     -- column-stochastic matrix, applied on the left
 * quantum           -- unitary matrix, applied on the left
 
+A branch that is a 0/1 total function is a tuple of successors in every
+semantics, as :func:`_function_tuple` finds when a level is made or read;
+the writer spells it out as its edges or its one-hot matrix.
+
 Node indices are 1-based within every level.  Probabilistic programs push a
 distribution through their matrices, quantum programs push a complex
 amplitude vector and measure once at the very end.
@@ -57,11 +61,13 @@ from __future__ import annotations
 
 import io
 import json
+import marshal
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, compress
 from typing import Any, Iterable
 
 SEMANTICS = ("deterministic", "nondeterministic", "probabilistic", "quantum")
@@ -228,9 +234,9 @@ class VariableOrder:
 class TransitionLevel:
     """One level: the variable it tests plus its two transitions.
 
-    ``t0``/``t1`` are tuples of ints (deterministic), frozensets of
-    (source, target) pairs (nondeterministic) or ndarrays of shape
-    (width_out, width_in) (probabilistic: float, quantum: complex).
+    ``t0``/``t1`` are tuples of 1-based successors (a 0/1 function, in any
+    semantics), frozensets of (source, target) pairs (nondeterministic) or
+    ndarrays of shape (width_out, width_in) (prob: float, quantum: complex).
     """
 
     variable: int
@@ -273,6 +279,34 @@ def _matrix_key(m: np.ndarray) -> tuple:    # equal bits, dtype and layout
     return m.dtype, m.shape, m.strides, m.tobytes()
 
 
+def _function_tuple(t: Any, width_in: int,
+                    width_out: int) -> tuple[int, ...] | None:
+    """Branch t as a tuple of 1-based successors when it is a 0/1 total
+    function, else None: the one recogniser, run when a level is made.
+
+    An edge set needs exactly one in-range edge per source.  A matrix,
+    given as its row-major float or complex entries, as every reader makes
+    them, needs one 1 per column and 0 elsewhere, bit for bit: marshal
+    writes each float's bits, so it must marshal as its one-hot matrix of
+    the same number type does, and a -0.0, an im of -0.0 or a
+    1.0000000000000002 keeps it dense.  An int or bool matrix stays dense.
+    """
+    if isinstance(t, frozenset):
+        succ = dict(t)
+        out = tuple(map(succ.get, range(1, width_in + 1)))
+        return out if len(succ) == len(t) == width_in and all(
+            type(d) is int and 1 <= d <= width_out for d in out) else None
+    ones = list(compress(range(len(t)), t))     # nonzero entries, NaN too
+    kind = type(t[ones[0]]) if ones else None   # int or bool stays dense
+    if len(ones) != width_in or kind not in (float, complex):
+        return None
+    succ, hot = [0] * width_in, [kind(0)] * len(t)
+    for i in ones:
+        succ[i % width_in], hot[i] = i // width_in + 1, kind(1)
+    return (tuple(succ) if 0 not in succ
+            and marshal.dumps(t, 2) == marshal.dumps(hot, 2) else None)
+
+
 def det_level(variable: int, t0: Iterable[int], t1: Iterable[int],
               width_out: int) -> TransitionLevel:
     t0, t1 = tuple(t0), tuple(t1)
@@ -282,13 +316,22 @@ def det_level(variable: int, t0: Iterable[int], t1: Iterable[int],
 def nondet_level(variable: int, width_in: int, width_out: int,
                  t0: Iterable[tuple[int, int]],
                  t1: Iterable[tuple[int, int]]) -> TransitionLevel:
+    """An edge set that is a function is held as its successor tuple."""
+    t0, t1 = (frozenset(t) for t in (t0, t1))
     return TransitionLevel(variable, width_in, width_out,
-                           frozenset(t0), frozenset(t1))
+                           _function_tuple(t0, width_in, width_out) or t0,
+                           _function_tuple(t1, width_in, width_out) or t1)
 
 
 def matrix_level(variable: int, t0: np.ndarray, t1: np.ndarray) -> TransitionLevel:
+    """A matrix shaped like t0 that is a 0/1 function is held as its
+    successor tuple, any other as a read-only ndarray owning its data."""
     t0, t1 = _frozen_array(t0), _frozen_array(t1)
-    return TransitionLevel(variable, t0.shape[1], t0.shape[0], t0, t1)
+    w_in, w_out = t0.shape[1], t0.shape[0]
+    return TransitionLevel(variable, w_in, w_out, *(
+        t.shape == t0.shape and _function_tuple(t.ravel().tolist(), w_in,
+                                                w_out) or t
+        for t in (t0, t1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +376,8 @@ class Program:
                             and ta.shape == tb.shape
                             and ta.tobytes() == tb.tobytes()):
                         return False
-                elif ta != tb:
+                # an ndarray never meets != (elementwise on a list)
+                elif _is_ndarray(tb) or ta != tb:
                     return False
         return True
 
@@ -374,21 +418,30 @@ def _matrix_faults(m: np.ndarray, width_in: int, width_out: int,
     return faults
 
 
-def _transition_fault(t: Any, semantics: str, width_in: int,
-                      width_out: int) -> str | None:
-    """What is wrong with a successor tuple or an edge set, or None.
-
-    The one range check of deterministic and nondeterministic transitions,
-    shared by :func:`validate` and the decoder.
-    """
-    if semantics == "deterministic":
+def _branch_faults(t: Any, width_in: int, width_out: int,
+                   semantics: str) -> list[str]:
+    """What is wrong with one branch, or [].  The one check of tuples and
+    edge sets, shared by :func:`validate` and the decoder: a tuple, in
+    any semantics, is range checked in O(w), and must be a bijection
+    under quantum; an edge set is range checked; a matrix is numeric."""
+    if isinstance(t, tuple) or semantics == "deterministic":
         if not isinstance(t, tuple) or len(t) != width_in:
-            return f"expected {width_in} successor entries"
+            return [f"expected {width_in} successor entries"]
         bad = [s for s in t if type(s) is not int or not 1 <= s <= width_out]
-        return f"successors {bad} outside 1..{width_out}" if bad else None
-    bad = [e for e in t
-           if not (1 <= e[0] <= width_in and 1 <= e[1] <= width_out)]
-    return f"edges {sorted(bad)} out of range" if bad else None
+        if bad:
+            return [f"successors {bad} outside 1..{width_out}"]
+        # under quantum, |U+U - I|_F: 1 per ordered pair sharing a successor
+        pairs = semantics == "quantum" and sum(
+            c * (c - 1) for c in Counter(t).values())
+        return [f"not unitary (|U+U - I|_F = {math.sqrt(pairs):.3e})"
+                ] if pairs else []
+    if semantics == "nondeterministic":
+        bad = [e for e in t
+               if not (1 <= e[0] <= width_in and 1 <= e[1] <= width_out)]
+        return [f"edges {sorted(bad)} out of range"] if bad else []
+    if not _is_ndarray(t):
+        return [f"expected a matrix, found {type(t).__name__}"]
+    return _matrix_faults(t, width_in, width_out, semantics)
 
 
 def validate(p: Program) -> ValidationReport:
@@ -427,15 +480,10 @@ def validate(p: Program) -> ValidationReport:
         v.append(f"accept nodes {bad_accept} outside 1..{p.final_width}")
 
     # one check per distinct transition and widths (a matrix by its bits,
-    # a tuple or edge set by its object); each level keeps its tag
-    functional = p.semantics in ("deterministic", "nondeterministic")
-    if functional:
-        faults = _memo(lambda t, *widths: (id(t), *widths),
-                       lambda t, *widths: [_transition_fault(
-                           t, p.semantics, *widths)])
-    else:
-        faults = _memo(lambda m, *widths: (_matrix_key(m), *widths),
-                       partial(_matrix_faults, semantics=p.semantics))
+    # any other branch by its object); each level keeps its tag
+    faults = _memo(lambda t, *widths: (_matrix_key(t) if _is_ndarray(t)
+                                       else id(t), *widths),
+                   partial(_branch_faults, semantics=p.semantics))
     for i, lvl in enumerate(p.levels):
         if not 1 <= lvl.variable <= p.n:
             v.append(f"levels[{i}]: variable {lvl.variable} out of range")
@@ -443,11 +491,8 @@ def validate(p: Program) -> ValidationReport:
             v.append(f"levels[{i}]: empty level")
             continue
         for which, t in (("t0", lvl.t0), ("t1", lvl.t1)):
-            if not functional and not _is_ndarray(t):
-                found = [f"expected a matrix, found {type(t).__name__}"]
-            else:
-                found = faults(t, lvl.width_in, lvl.width_out)
-            v += (f"levels[{i}].{which}: {f}" for f in found if f)
+            found = faults(t, lvl.width_in, lvl.width_out)
+            v += (f"levels[{i}].{which}: {f}" for f in found)
 
     if p.semantics == "quantum":
         widths = {l.width_in for l in p.levels} | {p.final_width}
@@ -478,11 +523,19 @@ _LEVEL = ('  {\n   "t0": ', ',\n   "t1": ', ',\n   "var": ',
           ',\n   "width_in": ', ',\n   "width_out": ', '\n  }')
 
 
-def _entries(t: Any, semantics: str) -> list[str]:
+def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
     if semantics == "deterministic":
         return [str(s) for s in t]
     if semantics == "nondeterministic":
-        return [f"[\n     {s},\n     {d}\n    ]" for s, d in sorted(t)]
+        edges = enumerate(t, 1) if isinstance(t, tuple) else sorted(t)
+        return [f"[\n     {s},\n     {d}\n    ]" for s, d in edges]
+    if isinstance(t, tuple):    # one-hot: column c holds its 1 in row t[c]
+        zero, one = ('"0.0"', '"1.0"') if semantics == "probabilistic" else (
+            _CELL % ('"0.0"', '"0.0"'), _CELL % ('"0.0"', '"1.0"'))
+        text = [zero] * (width_out * len(t))
+        for c, s in enumerate(t):
+            text[(s - 1) * len(t) + c] = one
+        return text
     import numpy as np
     dtype = np.float64 if semantics == "probabilistic" else np.complex128
     # unique on the bits, not the values: -0.0 == 0.0, but the reprs differ
@@ -517,13 +570,14 @@ def serialize(p: Program) -> str:
     before, _, after = head.partition('"levels": null')
     if not p.levels:
         return before + '"levels": []' + after
-    # one text per distinct matrix, or per object: (True, 2) == (1, 2)
-    body = _memo(lambda t: _matrix_key(t) if _is_ndarray(t)
-                 else id(t),
-                 lambda t: _encode_list(_entries(t, p.semantics)))
+    # one text per distinct matrix, or per object, and width_out (a
+    # tuple's one-hot height): (True, 2) == (1, 2)
+    body = _memo(lambda t, w: (_matrix_key(t) if _is_ndarray(t) else id(t), w),
+                 lambda t, w: _encode_list(_entries(t, p.semantics, w)))
     pieces = [before, '"levels": [\n']
     for l in p.levels:
-        fields = (body(l.t0), body(l.t1), l.variable, l.width_in, l.width_out)
+        fields = (body(l.t0, l.width_out), body(l.t1, l.width_out),
+                  l.variable, l.width_in, l.width_out)
         pieces += chain(*zip(_LEVEL, map(str, fields)), (_LEVEL[-1], ",\n"))
     pieces[-1] = "\n ]"
     return "".join(pieces + [after])
@@ -568,8 +622,11 @@ def _decode_entry(x: Any, semantics: str, where: str) -> float | complex:
                    _parse_number(x["im"], f"{where}.im"))
 
 
-def _matrix(entries: Iterable, semantics: str, width_in: int,
-            width_out: int) -> np.ndarray:
+def _matrix(entries: list, semantics: str, width_in: int,
+            width_out: int) -> tuple[int, ...] | np.ndarray:
+    """Decoded entries as a successor tuple, or else a read-only ndarray."""
+    if succ := _function_tuple(entries, width_in, width_out):
+        return succ
     import numpy as np
     dtype = np.float64 if semantics == "probabilistic" else np.complex128
     m = np.fromiter(entries, dtype, width_in * width_out)
@@ -590,9 +647,11 @@ def _decode_transition(raw: Any, semantics: str, width_in: int,
                         or any(type(x) is not int for x in e)):
                     raise ProgramFormatError(f"{where}: bad edge {e!r}")
             t = frozenset(map(tuple, raw))
-        fault = _transition_fault(t, semantics, width_in, width_out)
-        if fault:
-            raise ProgramFormatError(f"{where}: {fault}")
+        faults = _branch_faults(t, width_in, width_out, semantics)
+        if faults:
+            raise ProgramFormatError(f"{where}: {faults[0]}")
+        if semantics == "nondeterministic":
+            t = _function_tuple(t, width_in, width_out) or t
         return t
     if len(raw) != width_in * width_out:
         raise ProgramFormatError(
@@ -677,9 +736,9 @@ def _cut_items(semantics: str, body: str) -> list[str]:
 
 
 def _decode_items(items: list[str], semantics: str, width_in: int,
-                  width_out: int, where: str) -> np.ndarray:
-    """The matrix of items cut by :func:`_cut_items`; each distinct item
-    is decoded once, by :func:`_decode_entry`."""
+                  width_out: int, where: str) -> tuple | np.ndarray:
+    """The branch of items cut by :func:`_cut_items`, by :func:`_matrix`;
+    each distinct item is decoded once, by :func:`_decode_entry`."""
     if len(items) != width_in * width_out:
         raise ValueError("wrong entry count")
     table = dict.fromkeys(items)
@@ -687,8 +746,8 @@ def _decode_items(items: list[str], semantics: str, width_in: int,
         x = json.loads(item if semantics == "probabilistic"
                        else "{" + item + "}")
         table[item] = _decode_entry(x, semantics, where)
-    return _matrix(map(table.__getitem__, items), semantics, width_in,
-                   width_out)
+    return _matrix(list(map(table.__getitem__, items)), semantics,
+                   width_in, width_out)
 
 
 def _read_layout(text: str | bytes) -> Program | None:

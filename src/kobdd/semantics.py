@@ -12,8 +12,9 @@ the variable it tests and applies the matching transition:
 
 One kernel runs all four over an (m, n) matrix of assignments, one row
 per input; a scalar call is a batch of one.  A row stays one node index
-through every level whose branches are 0/1 functions, in any semantics,
-and becomes a dense vector only at the first level that is not.
+through every level whose branches are successor tuples, which every
+0/1 function branch is in any semantics, and becomes a dense vector only
+at the first level that is not.
 """
 
 from __future__ import annotations
@@ -38,31 +39,22 @@ def _bits_of(x: Assignment | str | tuple | list) -> np.ndarray:
     return np.array([x.bits if isinstance(x, Assignment) else tuple(x)])
 
 
-def _successors(semantics: str, t, width_in: int):
-    """Branch t as one 0-based successor per node when it is a total
-    function of weight exactly 1, bit for bit; else None.
-
-    Every deterministic branch is one.  A relation needs one edge per
-    source, a matrix 1.0 (1+0j) once per column and +0.0 elsewhere: a
-    -0.0 or a 1.0000000000000002 keeps the branch dense.
-    """
-    if semantics == "deterministic":
+def _successors(semantics: str, t):
+    """A tuple (any 0/1 function), or any det branch, as 0-based successors."""
+    if isinstance(t, tuple) or semantics == "deterministic":
         return np.array(t, dtype=np.intp) - 1
-    if semantics == "nondeterministic":
-        src, dst = (np.array(sorted(t), dtype=np.intp).reshape(-1, 2) - 1).T
-        return dst if np.array_equal(src, np.arange(width_in)) else None
-    succ = (t == 1).argmax(axis=0)
-    hot = np.eye(len(t), dtype=t.dtype)[:, succ]    # +0.0 off the ones
-    return succ if hot.tobytes() == t.tobytes() else None
+    return None
 
 
 def _dense(semantics: str, t, width_in: int, width_out: int) -> np.ndarray:
-    """Branch t as a (width_in, width_out) matrix applied as ``state @ op``:
-    float64 0/1 for a relation, a transposed view for a matrix."""
-    if semantics != "nondeterministic":
+    """Branch t as a (width_in, width_out) ``state @ op`` matrix: a matrix
+    transposed, else 0/1 (one-hot for a tuple), complex under quantum."""
+    if isinstance(t, np.ndarray):
         return t.T
-    op = np.zeros((width_in, width_out))
-    edges = np.array(list(t), dtype=np.intp).reshape(-1, 2) - 1
+    op = np.zeros((width_in, width_out),
+                  dtype=complex if semantics == "quantum" else float)
+    edges = enumerate(t, 1) if isinstance(t, tuple) else t
+    edges = np.array(list(edges), dtype=np.intp).reshape(-1, 2) - 1
     op[edges[:, 0], edges[:, 1]] = 1
     return op
 
@@ -100,7 +92,7 @@ def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
 
         levels = []
         for lvl in p.levels:
-            s0, s1 = succ(lvl.t0, lvl.width_in), succ(lvl.t1, lvl.width_in)
+            s0, s1 = succ(lvl.t0), succ(lvl.t1)
             tab = None if s0 is None or s1 is None else np.array([s0, s1])
             if tab is not None and _is_identity(lvl, tab):
                 step = None

@@ -230,10 +230,31 @@ def nondet_by_paths(p: Program, x: Assignment) -> int:
     frontier = {p.initial}
     for level in p.levels:
         rel = level.t1 if x.bit(level.variable) else level.t0
+        if isinstance(rel, tuple):      # a function: source i goes to rel[i-1]
+            rel = enumerate(rel, 1)
         frontier = {t for (s, t) in rel if s in frontier}
         if not frontier:
             return 0
     return 1 if frontier & p.accept else 0
+
+
+def one_hot(t: tuple, width_out: int, dtype) -> np.ndarray:
+    """Successor tuple t as its (width_out, len(t)) 0/1 matrix, by hand."""
+    m = np.zeros((width_out, len(t)), dtype=dtype)
+    for c, s in enumerate(t):
+        m[s - 1, c] = 1
+    return m
+
+
+def _step_by_hand(level, m, v: np.ndarray) -> np.ndarray:
+    """m @ v for a matrix m; for a successor tuple, each node's weight
+    moved to its successor."""
+    if not isinstance(m, tuple):
+        return m @ v
+    out = np.zeros(level.width_out, dtype=v.dtype)
+    for i, s in enumerate(m):
+        out[s - 1] += v[i]
+    return out
 
 
 def prob_by_hand(p: Program, x: Assignment) -> float:
@@ -241,7 +262,7 @@ def prob_by_hand(p: Program, x: Assignment) -> float:
     v[p.initial - 1] = 1.0
     for level in p.levels:
         m = level.t1 if x.bit(level.variable) else level.t0
-        v = m @ v
+        v = _step_by_hand(level, m, v)
     return float(sum(v[s - 1] for s in p.accept))
 
 
@@ -250,5 +271,5 @@ def quantum_by_hand(p: Program, x: Assignment) -> float:
     v[p.initial - 1] = 1.0
     for level in p.levels:
         m = level.t1 if x.bit(level.variable) else level.t0
-        v = m @ v
+        v = _step_by_hand(level, m, v)
     return float(sum(abs(v[s - 1]) ** 2 for s in p.accept))

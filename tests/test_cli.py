@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kobdd import (cli, constructions, load_program, serialize,
+from kobdd import (cli, constructions, load_program, program, serialize,
                    validate, width)
 from kobdd.cli import main
 
@@ -166,6 +166,80 @@ def test_validate_semantic_violation(tmp_path, capsys):
     (tmp_path / "q.json").write_text(json.dumps(doc))
     code, out, _ = _run(capsys, ["validate", path])
     assert code == 2 and "column" in out
+
+
+@pytest.mark.parametrize("descriptor", [
+    f"mxpj:{size},{emb}" for size in ("1,4", "2,4")
+    for emb in ("nondet", "prob", "quantum")])
+def test_built_embeddings_read_as_tuples_and_take_no_matrix_check(
+        tmp_path, capsys, monkeypatch, descriptor):
+    path = str(tmp_path / "p.json")
+    assert _run(capsys, ["build", descriptor, "-o", path])[0] == 0
+    p = load_program(path)
+    assert all(type(t) is tuple for l in p.levels for t in (l.t0, l.t1))
+    calls = []
+    monkeypatch.setattr(program, "_matrix_faults",
+                        lambda *args: calls.append(args) or [])
+    assert validate(p).ok
+    assert _run(capsys, ["validate", path])[:2] == (0, f"ok: {p.semantics} "
+        f"program, n={p.n}, layers={p.k}, width={width(p)}\n")
+    assert calls == []
+
+
+def _bend(doc: dict, rng: random.Random, how: str) -> tuple[int, str]:
+    """Bend one entry of a random branch of a built 0/1 matrix document
+    out of being a 0/1 function, in place; (level, branch) bent."""
+    i = rng.randrange(len(doc["levels"]))
+    which = rng.choice(["t0", "t1"])
+    level = doc["levels"][i]
+    w, col, entries = level["width_in"], rng.randrange(level["width_in"]), \
+        level[which]
+    quantum = isinstance(entries[0], dict)
+
+    def put(row, part, text):
+        if quantum:
+            entries[row * w + col][part] = text
+        else:
+            entries[row * w + col] = text
+
+    hot = next(r for r in range(w) if (entries[r * w + col]["re"] if quantum
+                                       else entries[r * w + col]) == "1.0")
+    cold = (hot + rng.randrange(1, w)) % w
+    {"negative zero": lambda: put(cold, "re", "-0.0"),
+     "above one": lambda: put(hot, "re", "1.0000000000000002"),
+     "im negative zero": lambda: put(hot, "im", "-0.0"),
+     "two ones": lambda: put(cold, "re", "1.0"),
+     "no one": lambda: put(hot, "re", "0.0")}[how]()
+    return i, which
+
+
+@pytest.mark.parametrize("emb, how, code", [
+    (emb, how, code) for emb in ("prob", "quantum")
+    for how, code in (("negative zero", 0), ("above one", 0),
+                      ("im negative zero", 0), ("two ones", 2),
+                      ("no one", 2))
+    if emb == "quantum" or how != "im negative zero"])
+def test_near_function_entries_read_dense_and_validate_in_one_line(
+        tmp_path, capsys, emb, how, code):
+    path = tmp_path / "p.json"
+    assert _run(capsys, ["build", f"mxpj:1,2,{emb}", "-o", str(path)])[0] == 0
+    built = path.read_text()
+    rng = random.Random(f"{emb} {how}")
+    for _ in range(4):
+        doc = json.loads(built)
+        i, which = _bend(doc, rng, how)
+        text = json.dumps(doc, indent=1, sort_keys=True)
+        path.write_text(text + "\n")
+        got, out, err = _run(capsys, ["validate", str(path)])
+        assert (got, err) == (code, "") and len(out.splitlines()) == 1
+        assert out.startswith("ok: " if code == 0
+                              else f"invalid: levels[{i}].{which}: ")
+        # only the bent branch is an ndarray, in both reads alike
+        p = program._read_layout(text)
+        assert [(j, t) for j, l in enumerate(p.levels) for t in ("t0", "t1")
+                if not isinstance(getattr(l, t), tuple)] == [(i, which)]
+        compact = program.deserialize(json.dumps(doc))
+        assert p.structurally_equal(compact) and compact.structurally_equal(p)
 
 
 _BOM = b"\xef\xbb\xbf"

@@ -1,11 +1,14 @@
 """Program builders and the three embedding compilers."""
 
+import dataclasses
+import json
 import random
 
 import numpy as np
 import pytest
 
-from conftest import det_by_hand
+import kobdd.semantics as kernel
+from conftest import det_by_hand, one_hot, random_unitary
 from kobdd import (Assignment, NonReversibleError, SAFLayout,
                    all_assignments_array, build_mxpj_id_obdd,
                    build_saf_2k_obdd, compile_to_nondet, compile_to_prob,
@@ -13,6 +16,7 @@ from kobdd import (Assignment, NonReversibleError, SAFLayout,
                    eval_det_batch, eval_nondet_batch, accept_prob_batch,
                    mxpj_function, random_saf_positive, saf_function,
                    serialize, validate, width, Program, VariableOrder)
+from kobdd.program import TransitionLevel, _read_layout, matrix_level
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +147,9 @@ def test_compile_quantum_exact(k, d):
 def test_compile_quantum_matrices_are_permutations():
     q = compile_to_quantum(build_mxpj_id_obdd(1, 2))
     for level in q.levels:
-        for m in (level.t0, level.t1):
+        for t in (level.t0, level.t1):
+            assert sorted(t) == [1, 2, 3, 4]        # a permutation tuple
+            m = kernel._dense("quantum", t, 4, 4)   # and its dense operator
             assert m.dtype == np.complex128
             assert np.array_equal(np.abs(m).sum(axis=0), np.ones(4))
             assert np.array_equal(np.abs(m).sum(axis=1), np.ones(4))
@@ -202,43 +208,91 @@ def test_builders_refuse_programs_over_the_node_budget():
         build_saf_2k_obdd(1, 2, 1000000)
 
 
+_COMPILERS = [compile_to_nondet, compile_to_prob, compile_to_quantum]
+
+
+@pytest.mark.parametrize("compile_", _COMPILERS)
+def test_compilers_relabel_the_deterministic_levels(compile_):
+    det = build_mxpj_id_obdd(2, 4)
+    q = compile_(det)
+    assert q.levels is det.levels
+    assert all(a.t0 is b.t0 and a.t1 is b.t1
+               for a, b in zip(q.levels, det.levels))
+    assert (q.n, q.k, q.order, q.initial, q.accept) == \
+        (det.n, det.k, det.order, det.initial, det.accept)
+
+
 @pytest.mark.parametrize("compile_", [compile_to_prob, compile_to_quantum])
 def test_equal_transitions_share_one_frozen_matrix(compile_):
+    # a 0/1 function matrix is held as a tuple, frozen by its type: the
+    # compiler shares the det program's, the read one per distinct body
     det = build_mxpj_id_obdd(2, 4)
     distinct = {t for l in det.levels for t in (l.t0, l.t1)}
-    for q in (compile_(det), deserialize(serialize(compile_(det)))):
-        mats = {id(t): t for l in q.levels for t in (l.t0, l.t1)}
-        assert len(mats) == len(distinct) < 2 * len(q.levels)
-        for m in mats.values():
-            assert not m.flags.writeable and m.flags.owndata
-    assert serialize(q) == serialize(compile_(det))
+    q = compile_(det)
+    read = deserialize(serialize(q))
+    tuples = {id(t): t for l in read.levels for t in (l.t0, l.t1)}
+    assert len(tuples) == len(distinct) < 2 * len(read.levels)
+    assert all(type(t) is tuple for t in tuples.values())
+    assert read.structurally_equal(q)
+    assert serialize(read) == serialize(compile_(det))
+    # the frozen matrix is now the dense path's: each tuple mixed into a
+    # matrix that is no 0/1 function, one per distinct map, read both ways
+    nprng = np.random.Generator(np.random.PCG64(17))
+    w = q.levels[0].width_in
+    if q.semantics == "quantum":
+        mix = random_unitary(nprng, w)
+    else:
+        mix = nprng.random((w, w)) + 1e-3
+        mix /= mix.sum(axis=0, keepdims=True)
+    mats = {}
+    for t in distinct:
+        mats[t] = one_hot(t, w, mix.dtype) @ mix
+        mats[t].setflags(write=False)
+    dense = dataclasses.replace(q, levels=tuple(
+        matrix_level(l.variable, mats[l.t0], mats[l.t1]) for l in q.levels))
+    text = serialize(dense)
+    layout, whole = _read_layout(text), deserialize(json.dumps(json.loads(text)))
+    assert layout is not None and validate(dense).ok
+    for r in (dense, layout, whole):
+        got = [t for l in r.levels for t in (l.t0, l.t1)]
+        assert all(type(m) is np.ndarray and not m.flags.writeable
+                   and m.flags.owndata for m in got)
+        assert r.structurally_equal(dense) and dense.structurally_equal(r)
+        # the layout read decodes each distinct body once and shares it;
+        # the json.loads read decodes every branch on its own
+        shared = len(distinct) if r is not whole else len(got)
+        assert len({id(m) for m in got}) == shared
 
 
 def test_nondet_compiler_shares_one_edge_set_per_successor_map():
     det = build_mxpj_id_obdd(2, 4)
     distinct = {t for l in det.levels for t in (l.t0, l.t1)}
-    q = compile_to_nondet(det)
-    sets = {id(t): t for l in q.levels for t in (l.t0, l.t1)}
-    assert len(sets) == len(distinct) < 2 * len(q.levels)
-    for l, m in zip(det.levels, q.levels):
-        assert m.t0 == set(enumerate(l.t0, 1))
-        assert m.t1 == set(enumerate(l.t1, 1))
-    # (1.0, 2) == (1, 2), and its edges keep the float as before
+    read = deserialize(serialize(compile_to_nondet(det)))
+    sets = {id(t): t for l in read.levels for t in (l.t0, l.t1)}
+    assert len(sets) == len(distinct) < 2 * len(read.levels)
+    for l, m in zip(det.levels, read.levels):
+        assert m.t0 == l.t0 and m.t1 == l.t1
+    # (1.0, 2) == (1, 2): the float is kept, and written as its edge was
     p = Program(semantics="deterministic", n=1, k=1,
                 order=VariableOrder.identity(1),
                 levels=(det_level(1, (1, 2), (1.0, 2), 2),),
                 initial=1, accept=frozenset({1}))
-    level = compile_to_nondet(p).levels[0]
+    q = compile_to_nondet(p)
+    level = q.levels[0]
     assert level.t0 is not level.t1
-    assert sorted(type(s).__name__ for _, s in level.t1) == ["float", "int"]
+    assert sorted(type(s).__name__ for s in level.t1) == ["float", "int"]
+    edges = TransitionLevel(1, 2, 2, frozenset(enumerate(level.t0, 1)),
+                            frozenset(enumerate(level.t1, 1)))
+    assert serialize(q) == serialize(dataclasses.replace(q, levels=(edges,)))
 
 
 def test_compilers_key_successors_on_their_types():
-    # (1.0, 2) == (1, 2), but a float successor indexes no matrix
+    # (1.0, 2) == (1, 2), but a float successor indexes no node: every
+    # embedding keeps it, and validate rejects it as det's does
     p = Program(semantics="deterministic", n=1, k=1,
                 order=VariableOrder.identity(1),
                 levels=(det_level(1, (1, 2), (1.0, 2), 2),),
                 initial=1, accept=frozenset({1}))
-    for compile_ in (compile_to_prob, compile_to_quantum):
-        with pytest.raises(IndexError):
-            compile_(p)
+    for compile_ in [lambda p: p] + _COMPILERS:
+        assert validate(compile_(p)).violations == (
+            "levels[0].t1: successors [1.0] outside 1..2",)

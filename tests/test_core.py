@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (random_det_program, random_nondet_program,
+from conftest import (one_hot, random_det_program, random_nondet_program,
                       random_prob_program, random_program,
-                      random_quantum_program)
+                      random_quantum_program, random_reversible_det_program)
 from kobdd import (Assignment, Program, ProgramFormatError, VariableOrder,
                    all_assignments_array, deserialize, det_level,
                    matrix_level, nondet_level, serialize, validate, width)
@@ -220,11 +220,12 @@ def test_validate_checks_a_shared_matrix_once_and_tags_every_level(
                         lambda *a, **kw: calls.append(1) or faults(*a, **kw))
     quantum = np.array([[1, 1], [0, 1]], dtype=complex)
     prob = np.array([[0.7, -0.1], [0.2, 1.1]])
-    for semantics, bad, found in [
-            ("quantum", quantum, ["not unitary (|U+U - I|_F = 1.732e+00)"]),
-            ("probabilistic", prob,
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    for semantics, good, bad, found in [
+            ("quantum", hadamard, quantum,
+             ["not unitary (|U+U - I|_F = 1.732e+00)"]),
+            ("probabilistic", np.full((2, 2), 0.5), prob,
              ["negative entries", f"column 1 sums to {prob.sum(0)[0]!r}"])]:
-        good = np.eye(2, dtype=bad.dtype)
         levels = (matrix_level(1, good, bad), matrix_level(2, good, bad),
                   matrix_level(3, good, bad.copy()))
         p = Program(semantics=semantics, n=3, k=1,
@@ -233,8 +234,15 @@ def test_validate_checks_a_shared_matrix_once_and_tags_every_level(
         calls.clear()
         assert validate(p).violations == tuple(
             f"levels[{i}].t1: {f}" for i in range(3) for f in found)
-        assert len(calls) == 2                # the identity and bad
-    # the identity under two pairs of declared widths: two checks
+        assert len(calls) == 2                # good and bad
+        # a 0/1 function is a tuple, which takes no matrix check
+        eye = matrix_level(3, np.eye(2, dtype=bad.dtype), good)
+        calls.clear()
+        assert validate(dataclasses.replace(p, levels=levels[:2] + (eye,))
+                        ).violations == tuple(
+            f"levels[{i}].t1: {f}" for i in range(2) for f in found)
+        assert eye.t0 == (1, 2) and len(calls) == 2
+    # good under two pairs of declared widths: two checks
     level = TransitionLevel(2, 2, 3, good, good)
     p = dataclasses.replace(p, levels=(levels[0], level, levels[2]))
     violations = validate(p).violations
@@ -246,9 +254,9 @@ def test_validate_checks_a_shared_matrix_once_and_tags_every_level(
 def test_validate_checks_a_shared_transition_once_and_tags_every_level(
         monkeypatch):
     calls = []
-    fault = program._transition_fault
-    monkeypatch.setattr(program, "_transition_fault",
-                        lambda *a: calls.append(a) or fault(*a))
+    faults = program._branch_faults
+    monkeypatch.setattr(program, "_branch_faults",
+                        lambda *a, **kw: calls.append(a) or faults(*a, **kw))
     for semantics, good, bad, found in [
             ("deterministic", (1, 2), (2, 3), "successors [3] outside 1..2"),
             ("nondeterministic", frozenset({(1, 1), (2, 2)}),
@@ -277,17 +285,47 @@ def test_validate_checks_a_shared_transition_once_and_tags_every_level(
 
 
 def test_matrix_level_owns_what_it_holds():
-    base = np.eye(2)
+    base = np.full((2, 2), 0.5)            # no 0/1 function: kept dense
     view = base[:]
     view.setflags(write=False)
     for m in (base, view):
         lvl = matrix_level(1, m, m)
         base[0, 0] = 5.0
-        assert lvl.t0[0, 0] == 1.0 and not lvl.t0.flags.writeable
-        base[0, 0] = 1.0
-    frozen = np.eye(2)
+        assert lvl.t0[0, 0] == 0.5 and not lvl.t0.flags.writeable
+        base[0, 0] = 0.5
+    frozen = np.full((2, 2), 0.5)
     frozen.setflags(write=False)
     assert matrix_level(1, frozen, frozen).t0 is frozen     # no copy
+    # a 0/1 function is held as its successor tuple, which no write reaches
+    swap = np.eye(2)[::-1]
+    lvl = matrix_level(1, swap, base)
+    swap[0, 0] = 5.0
+    assert lvl.t0 == (2, 1) and lvl.t1 is not base
+
+
+def test_matrix_level_takes_float_and_complex_functions_as_tuples():
+    swap = np.eye(2)[::-1]
+    kept = {np.dtype(d): matrix_level(1, swap.astype(d), swap.astype(d))
+            for d in (float, complex, np.float32, int, bool)}
+    for d, lvl in kept.items():
+        want = tuple if d.kind in "fc" else np.ndarray  # int and bool stay
+        assert type(lvl.t0) is want and type(lvl.t1) is want
+
+    # matrix_level does not know the semantics, so a complex one-hot
+    # matrix in a probabilistic program is its tuple, on purpose: it
+    # validates and writes the float one-hot text a reader takes back
+    def prob(lvl):
+        return Program(semantics="probabilistic", n=1, k=1,
+                       order=VariableOrder.identity(1), levels=(lvl,),
+                       initial=1, accept=frozenset({1}))
+    p = prob(kept[np.dtype(complex)])
+    assert p.levels[0].t0 == (2, 1) and validate(p).ok
+    spelled = prob(TransitionLevel(1, 2, 2, swap, swap))
+    assert serialize(p) == serialize(spelled)
+    assert deserialize(serialize(p)).structurally_equal(p)
+    # kept dense, a complex matrix is still no stochastic one
+    dense = prob(TransitionLevel(1, 2, 2, swap + 0j, swap + 0j))
+    assert "complex entries in a stochastic matrix" in str(validate(dense))
 
 
 def test_validate_quantum_needs_constant_width():
@@ -352,9 +390,13 @@ def test_serialize_is_deterministic():
 
 def _reference_text(p) -> str:
     """The v1 document of ``p`` through the standard library's encoder."""
-    def encode(t):
+    def encode(t, width_out):
         if p.semantics == "deterministic":
             return list(t)
+        if isinstance(t, tuple):        # a 0/1 function, spelled out
+            if p.semantics == "nondeterministic":
+                return [[s, d] for s, d in enumerate(t, 1)]
+            t = [[float(s == r) for s in t] for r in range(1, width_out + 1)]
         if p.semantics == "nondeterministic":
             return [[s, d] for s, d in sorted(t)]
         if p.semantics == "probabilistic":
@@ -368,7 +410,8 @@ def _reference_text(p) -> str:
            "epsilon": p.epsilon,
            "levels": [{"var": l.variable, "width_in": l.width_in,
                        "width_out": l.width_out,
-                       "t0": encode(l.t0), "t1": encode(l.t1)}
+                       "t0": encode(l.t0, l.width_out),
+                       "t1": encode(l.t1, l.width_out)}
                       for l in p.levels]}
     return json.dumps(doc, indent=1, sort_keys=True)
 
@@ -730,6 +773,77 @@ def test_decoder_and_validate_report_transitions_alike(semantics, bad_t1,
     with pytest.raises(ProgramFormatError) as info:
         deserialize(serialize(p))
     assert str(info.value) == f"levels[1].t1: {fault}"
+
+
+def test_structurally_equal_tells_a_tuple_or_list_from_an_ndarray():
+    swap = np.eye(2)[::-1]
+    arrays = _one_level("probabilistic", TransitionLevel(1, 2, 2, swap, swap))
+    for other in ((2, 1), swap.tolist()):           # a tuple, a list
+        for levels in (TransitionLevel(1, 2, 2, other, swap),
+                       TransitionLevel(1, 2, 2, swap, other)):
+            q = _one_level("probabilistic", levels)
+            # both orders, and neither raises on list != ndarray
+            assert arrays.structurally_equal(q) is False
+            assert q.structurally_equal(arrays) is False
+            assert q.structurally_equal(q)
+    assert arrays.structurally_equal(arrays)
+
+
+def _spelled_out(p: Program) -> Program:
+    """An embedding of a det program with every successor tuple written
+    out by hand, as TransitionLevel holds it: an edge set, or a one-hot
+    float64 or complex128 matrix."""
+    def spell(t, width_out):
+        if p.semantics == "nondeterministic":
+            return frozenset(enumerate(t, 1))
+        return one_hot(t, width_out, np.complex128
+                       if p.semantics == "quantum" else np.float64)
+
+    return dataclasses.replace(p, levels=tuple(
+        TransitionLevel(l.variable, l.width_in, l.width_out,
+                        spell(l.t0, l.width_out), spell(l.t1, l.width_out))
+        for l in p.levels))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_embedding_writes_the_text_of_its_spelled_out_branches(seed):
+    from kobdd import (build_mxpj_id_obdd, compile_to_nondet,
+                       compile_to_prob, compile_to_quantum)
+    rng = random.Random(seed)
+    det = random_det_program(rng, 3, 2)
+    reversible = (random_reversible_det_program(rng, 3, 2) if seed
+                  else build_mxpj_id_obdd(1, 2))
+    for q in (compile_to_nondet(det), compile_to_prob(det),
+              compile_to_quantum(reversible)):
+        spelled = _spelled_out(q)
+        assert not any(isinstance(t, tuple) for l in spelled.levels
+                       for t in (l.t0, l.t1))
+        text = serialize(q)
+        assert text == serialize(spelled) == _reference_text(q)
+        read = deserialize(text)
+        assert read.structurally_equal(q) and validate(read).ok
+
+
+@pytest.mark.parametrize("semantics", ["nondeterministic", "probabilistic",
+                                       "quantum"])
+def test_validate_judges_a_tuple_as_its_spelled_out_branch(semantics):
+    # a tuple takes the O(w) checks, its matrix or edge set the full ones;
+    # both must find the same faults, the non-bijections under quantum too
+    rng = random.Random(semantics)
+    for _ in range(40):
+        w = rng.randint(1, 4)
+        levels = tuple(det_level(v, [rng.randint(1, w) for _ in range(w)],
+                                 rng.sample(range(1, w + 1), w), w)
+                       for v in (1, 2))
+        p = Program(semantics=semantics, n=2, k=1,
+                    order=VariableOrder.identity(2), levels=levels,
+                    initial=1, accept=frozenset({1}),
+                    epsilon=None if semantics == "nondeterministic" else 0.5)
+        spelled = _spelled_out(p)
+        assert validate(p).violations == validate(spelled).violations
+        if semantics == "quantum" and any(
+                len(set(l.t0)) < w for l in levels):
+            assert not validate(p).ok
 
 
 def test_nondet_round_trip_preserves_edges():

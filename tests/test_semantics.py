@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kobdd.semantics as kernel
-from conftest import (det_by_hand, nondet_by_paths, prob_by_hand,
+from conftest import (det_by_hand, nondet_by_paths, one_hot, prob_by_hand,
                       quantum_by_hand, random_det_program,
                       random_nondet_program, random_prob_program,
                       random_program, random_quantum_program,
@@ -33,6 +33,18 @@ def _xor_program() -> Program:
 def test_det_hand_values():
     p = _xor_program()
     got = [eval_det(p, Assignment.from_int(m, 2)) for m in range(4)]
+    assert got == [0, 1, 1, 0]
+
+
+def test_a_det_branch_that_is_not_a_tuple_still_runs():
+    # validate rejects a list, but the kernel reads any det branch as its
+    # successors, never as a non-function to skip
+    p = _xor_program()
+    lists = dataclasses.replace(p, levels=tuple(
+        dataclasses.replace(l, t0=list(l.t0), t1=list(l.t1))
+        for l in p.levels))
+    assert not validate(lists).ok
+    got = [eval_det(lists, Assignment.from_int(m, 2)) for m in range(4)]
     assert got == [0, 1, 1, 0]
 
 
@@ -460,8 +472,8 @@ def _against_dense(monkeypatch, p: Program, xs: np.ndarray,
     fast = run(p)
     keep = kernel._successors
     with monkeypatch.context() as m:
-        m.setattr(kernel, "_successors", lambda semantics, t, w:
-                  keep(semantics, t, w) if semantics == "deterministic"
+        m.setattr(kernel, "_successors", lambda semantics, t:
+                  keep(semantics, t) if semantics == "deterministic"
                   else None)
         dense = dataclasses.replace(p)          # no compiled levels yet
         if p.semantics != "deterministic":
@@ -497,6 +509,30 @@ def test_basis_rows_match_the_dense_path_on_random_programs(monkeypatch,
                        all_assignments_array(4))
 
 
+_BY_HAND = {"deterministic": det_by_hand, "nondeterministic": nondet_by_paths,
+            "probabilistic": prob_by_hand, "quantum": quantum_by_hand}
+
+
+@pytest.mark.parametrize("semantics", list(_EMBED))
+def test_embeddings_match_the_oracles_on_all_inputs(monkeypatch, semantics):
+    # the oracles read each successor tuple by hand, node by node
+    for seed in range(5):
+        rng = random.Random(100 + seed)
+        det = (random_reversible_det_program(rng, n=4, k=2, w=rng.randint(1, 5))
+               if semantics == "quantum" else random_det_program(rng, 4, 2))
+        p = _EMBED[semantics](det)
+        assert all(isinstance(t, tuple) for l in p.levels
+                   for t in (l.t0, l.t1))
+        xs = all_assignments_array(p.n)
+        got = kernel._kernel(p, xs, "test", (semantics,))
+        for m in range(1 << p.n):
+            x = Assignment.from_int(m, p.n)
+            want = _BY_HAND[semantics](p, x)
+            assert want == det_by_hand(det, x)
+            assert got[m] == pytest.approx(want, abs=1e-12)
+        _against_dense(monkeypatch, p, xs)
+
+
 def _random_branch(semantics: str, nprng, w: int):
     if semantics == "nondeterministic":
         return frozenset((s, t) for s in range(1, w + 1)
@@ -527,21 +563,27 @@ def test_basis_rows_turn_dense_at_the_first_dense_level(monkeypatch,
 
 
 def _nudged(semantics: str, how: str):
-    """Branch t0 of level 1 of the compiled mxpj:1,2, bent out of being a
-    0/1 function in one place, and the program holding it."""
+    """Branch t0 of level 1 of the compiled mxpj:1,2, spelled out as an
+    edge set or a matrix, and bent out of being a 0/1 function in one
+    place: the program with it made by nondet_level or matrix_level, and
+    the branch before and after the bend."""
     p = _EMBED[semantics](build_mxpj_id_obdd(1, 2))
     lvl = p.levels[0]
     if semantics == "nondeterministic":
-        edges = set(lvl.t0)
+        exact = frozenset(enumerate(lvl.t0, 1))
+        edges = set(exact)
         source = 2
-        target = next(t for s, t in edges if s == source)
+        target = lvl.t0[source - 1]
         if how == "no edge":
             edges.discard((source, target))
         else:
             edges.add((source, target % lvl.width_out + 1))
-        t0 = frozenset(edges)
+        bent = nondet_level(1, lvl.width_in, lvl.width_out, edges,
+                            enumerate(lvl.t1, 1))
     else:
-        t0 = lvl.t0.copy()
+        exact = one_hot(lvl.t0, lvl.width_out, np.complex128
+                         if semantics == "quantum" else np.float64)
+        t0 = exact.copy()
         col = t0[:, 1]
         hot = int(np.flatnonzero(col)[0])
         cold = (hot + 1) % len(col)
@@ -553,8 +595,9 @@ def _nudged(semantics: str, how: str):
             col[hot] = complex(1.0, -0.0)
         else:                                   # "two ones"
             col[cold] = 1.0
-    return p, dataclasses.replace(
-        p, levels=(dataclasses.replace(lvl, t0=t0),) + p.levels[1:])
+        bent = matrix_level(1, t0, one_hot(lvl.t1, lvl.width_out, t0.dtype))
+    return dataclasses.replace(p, levels=(bent,) + p.levels[1:]), exact, \
+        lvl.t0
 
 
 @pytest.mark.parametrize("semantics, how", [
@@ -564,11 +607,18 @@ def _nudged(semantics: str, how: str):
     ("probabilistic", "two ones"), ("quantum", "two ones"),
     ("nondeterministic", "no edge"), ("nondeterministic", "two edges")])
 def test_near_functions_stay_dense(monkeypatch, semantics, how):
-    p, q = _nudged(semantics, how)
+    q, exact, succ = _nudged(semantics, how)
     lvl = q.levels[0]
-    assert kernel._successors(semantics, p.levels[0].t0, lvl.width_in) \
-        is not None
-    assert kernel._successors(semantics, lvl.t0, lvl.width_in) is None
+    # the exact branch is made a tuple, the bent one is kept as it is
+    if semantics == "nondeterministic":
+        assert nondet_level(1, 4, 4, exact, exact).t0 == succ
+        assert isinstance(lvl.t0, frozenset)
+    else:
+        assert matrix_level(1, exact, exact).t0 == succ
+        assert isinstance(lvl.t0, np.ndarray)
+    assert type(lvl.t1) is tuple        # the unbent t1, a tuple again
+    assert lvl.t1 == build_mxpj_id_obdd(1, 2).levels[0].t1
+    assert kernel._successors(semantics, lvl.t0) is None
     tables = _tables(q)
     assert not tables[0] and all(tables[1:])
     _against_dense(monkeypatch, q, all_assignments_array(q.n))
