@@ -48,13 +48,13 @@ complex entries are {"re": str, "im": str} objects, both produced with
 sort_keys=True)``, rendering each distinct transition once.
 :func:`deserialize` has two reads.  They share every decoder (header,
 level, transition, matrix entry) and differ only in how they cut the
-text.  A text in the writer's layout is cut at the writer's fixed
-punctuation, and each piece goes to ``json.loads``: the header once (it
-must re-dump to its own text), each distinct transition once (equal
-ones share the result), each distinct matrix entry once.  Any other
-text, and any text with an error, is parsed whole by ``json.loads``,
-and that read alone words every error.  :func:`validate` checks each
-distinct transition once.
+text.  A text in the writer's layout (a file is mapped, not read) is cut
+in one pass at the writer's fixed punctuation, and each piece goes to
+``json.loads``: the header once (it must re-dump to its own text), each
+distinct transition once (equal ones share the result), each distinct
+matrix entry once.  Any other text, and any text with an error, is
+parsed whole by ``json.loads``, and that read alone words every error.
+:func:`validate` checks each distinct transition once.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ import io
 import json
 import marshal
 import math
+import mmap
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -82,6 +83,8 @@ STOCHASTIC_TOL = 1e-9
 EXHAUSTIVE_LIMIT = 24
 #: Rows per call of a batch reference oracle in :func:`sweep_rows`.
 SWEEP_CHUNK = 1 << 14
+#: Bytes of a mapped file cut between two drops of its pages (whole pages).
+_DROP = 1 << 20
 
 #: The size parameter each chain of ``analysis`` is stated over: w (width)
 #: or d (the pointer-jumping alphabet size), in the canonical chain order.
@@ -750,14 +753,27 @@ def _decode_items(items: list[str], semantics: str, width_in: int,
                    width_in, width_out)
 
 
-def _read_layout(text: str | bytes) -> Program | None:
-    """The program in ``text`` if it is laid out exactly as serialize (or
-    save_program, with its newline) writes it and decodes cleanly; None
-    otherwise, so that the json.loads path reads it and names any error.
+def _find(text, lit, pos: int, hop: int) -> int:
+    """text.find(lit, pos) in a str, bytes or map: a one-byte find (memchr)
+    for lit[hop], each hit confirmed against lit whole.  Exact for any hop;
+    fast for a key's first letter, as the writer's bodies hold no t, v, w."""
+    unit = lit[hop:hop + 1]
+    i = text.find(unit, pos + hop)
+    while i >= 0 and text[i - hop:i - hop + len(lit)] != lit:
+        i = text.find(unit, i + 1)
+    return i - hop if i >= 0 else -1
 
-    The text is scanned by index: only transition bodies are copied out.
-    A file's bytes are cut at the same literals, as bytes, and each piece
-    is decoded as UTF-8 before json.loads sees it.
+
+def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
+    """The program in ``text`` (a str, a file's bytes or its map) if it is
+    laid out exactly as serialize (or save_program, with its newline)
+    writes it and decodes cleanly; None otherwise, so that the json.loads
+    path reads it and names any error.
+
+    One pass cuts the text at the writer's literals (:func:`_find`) and
+    copies each piece out; equal pieces share one object, decoded once (as
+    UTF-8 for json.loads, if bytes).  A map's pages already cut are dropped
+    (madvise) every ``_DROP`` bytes; touched again, they are read again.
     """
     enc, dec = ((str, str) if isinstance(text, str)
                 else (str.encode, bytes.decode))
@@ -766,20 +782,24 @@ def _read_layout(text: str | bytes) -> Program | None:
     start = text.find(opening)
     if start < 0:
         return None
-    pos, levels = start + len(opening), []
-    while text.startswith(first, pos):
+    pos, levels, pieces = start + len(opening), [], {}
+    drop, dropped = getattr(text, "madvise", None), 0
+    while text[pos:pos + len(first)] == first:
         pos += len(first)
-        spans = []
-        for lit in fields:
-            end = text.find(lit, pos)
+        levels.append(level := [])
+        for lit in fields:     # hop on a key's first letter, or '\n'
+            end = _find(text, lit, pos, lit.find(enc('"')) + 1)
             if end < 0:
                 return None
-            spans.append(slice(pos, end))
+            piece = text[pos:end]
+            level.append(pieces.setdefault(piece, piece))
             pos = end + len(lit)
-        levels.append(spans)
-        if text.startswith(last, pos):
+        while drop and pos - dropped >= _DROP:
+            drop(mmap.MADV_DONTNEED, dropped, _DROP)
+            dropped += _DROP
+        if text[pos:pos + len(last)] == last:
             break
-        if not text.startswith(more, pos):
+        if text[pos:pos + len(more)] != more:
             return None
         pos += len(more)
     else:
@@ -798,23 +818,22 @@ def _read_layout(text: str | bytes) -> Program | None:
             read, decode = partial(_cut_items, semantics), _decode_items
         else:
             read, decode = json.loads, _decode_transition
-        # one decode per distinct body and widths; equal bodies share it
         transition = _memo(lambda body, _, w_in, w_out, where:
-                           (body, w_in, w_out),
+                           (id(body), w_in, w_out),
                            lambda body, *shape: decode(read(dec(body)),
                                                        *shape))
         decoded = []
         for t0, t1, *numbers in levels:
             rl = dict(zip(("var", "width_in", "width_out"),
-                          (json.loads(dec(text[s])) for s in numbers)),
-                      t0=text[t0], t1=text[t1])
+                          (json.loads(dec(s)) for s in numbers)),
+                      t0=t0, t1=t1)
             decoded.append(_decode_level(rl, "", semantics, transition))
     except (ValueError, RecursionError):
         return None
     return Program(levels=tuple(decoded), **fields)
 
 
-def deserialize(text: str | bytes) -> Program:
+def deserialize(text: str | bytes | mmap.mmap) -> Program:
     """Decode a JSON program document, rejecting malformed input.
 
     Structural problems (bad JSON, unknown semantics, shape or range
@@ -825,12 +844,15 @@ def deserialize(text: str | bytes) -> Program:
 
     A text in the writer's own layout is read by :func:`_read_layout`;
     every other text, and every error, takes json.loads of the whole text.
-    Bytes are a file's: those not in the layout are read as text mode
-    reads a file, UTF-8 with universal newlines, and then as that text.
+    Bytes or a map are a file's: those not in the layout are read as text
+    mode reads a file, UTF-8 with universal newlines, then as that text.
     """
     program = _read_layout(text)
-    if program is None and isinstance(text, bytes):
-        text = io.TextIOWrapper(io.BytesIO(text), encoding="utf-8").read()
+    if program is None and not isinstance(text, str):
+        data = text[:]      # as bytes; a map's pages are then let go
+        if hasattr(text, "madvise"):
+            text.madvise(mmap.MADV_DONTNEED)
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
         program = _read_layout(text)
     if program is not None:
         return program
@@ -856,5 +878,13 @@ def save_program(p: Program, path: str) -> None:
 
 
 def load_program(path: str) -> Program:
-    with open(path, "rb") as fh:    # one copy of the file: its bytes
-        return deserialize(fh.read())
+    """The program in the file at path, mapped read-only (read once if it
+    cannot be: empty, /dev/null, a pipe); nothing read refers to the map.
+    A file cut short by another process meanwhile can end it with SIGBUS."""
+    with open(path, "rb") as fh:
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (OSError, ValueError):
+            return deserialize(fh.read())
+        with data:
+            return deserialize(data)

@@ -2,16 +2,19 @@
 
 import hashlib
 import json
+import mmap
 import os
 import random
 import resource
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from conftest import random_program
 from kobdd import (cli, constructions, load_program, program, serialize,
                    validate, width)
 from kobdd.cli import main
@@ -705,6 +708,99 @@ def test_built_files_take_the_layout_read(tmp_path, capsys, monkeypatch,
     assert lengths and max(lengths) < len(text) // 2   # no whole-text parse
     monkeypatch.undo()
     assert serialize(p) + "\n" == text
+
+
+@pytest.mark.parametrize("descriptor", [
+    f"mxpj:{size}{emb}" for size in ("1,2", "2,4")
+    for emb in ("", ",nondet", ",prob", ",quantum")])
+def test_a_file_reads_alike_as_str_bytes_and_map(tmp_path, capsys,
+                                                 descriptor):
+    path = tmp_path / "p.json"
+    assert _run(capsys, ["build", descriptor, "-o", str(path)])[0] == 0
+    with open(path, "rb") as fh, \
+            mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+        mapped = program.deserialize(data)
+    reads = [program.deserialize(path.read_text()),
+             program.deserialize(path.read_bytes()), mapped,
+             load_program(str(path))]
+    assert all(a.structurally_equal(b) for a in reads for b in reads)
+    assert serialize(mapped) + "\n" == path.read_text()
+
+
+@pytest.mark.parametrize("emb", ["", ",quantum"])
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["check-equiv", "mxpj:2,4", "--mode", "sample", "--samples", "64",
+     "--seed", "1"]])
+def test_deserialize_gets_the_file_as_one_sized_argument(
+        tmp_path, capsys, monkeypatch, emb, command):
+    """What a tracer that wraps program.deserialize sees: one call, whose
+    argument has the file's length when read after the call returns."""
+    path = tmp_path / "p.json"
+    assert _run(capsys, ["build", f"mxpj:2,4{emb}", "-o", str(path)])[0] == 0
+    lengths = []
+    deserialize = program.deserialize
+
+    def spy(*args, **kwargs):
+        result = deserialize(*args, **kwargs)
+        lengths.append(len(args[0]))
+        return result
+
+    monkeypatch.setattr(program, "deserialize", spy)
+    argv = command[:1] + [str(path)] + command[1:]
+    assert _run(capsys, argv)[0] == 0
+    assert lengths == [path.stat().st_size]
+
+
+_EMPTY = (2, "", "error: malformed program document: invalid JSON: "
+                 "Expecting value: line 1 column 1 (char 0)\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"], ["check-equiv", "mxpj:1,2"], ["eval", "0000"]])
+def test_files_that_cannot_be_mapped_are_read(tmp_path, capsys, command):
+    empty = tmp_path / "empty.json"
+    empty.write_bytes(b"")
+    for path in (str(empty), os.devnull):
+        assert _run(capsys, command[:1] + [path] + command[1:]) == _EMPTY
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="POSIX FIFOs")
+def test_a_fifo_reads_as_its_file(tmp_path, capsys):
+    path, fifo = tmp_path / "p.json", tmp_path / "fifo"
+    assert _run(capsys, ["build", "mxpj:2,4,quantum", "-o", str(path)])[0] == 0
+    want = _run(capsys, ["validate", str(path)])
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(path.read_bytes())
+
+    feeder = threading.Thread(target=feed, daemon=True)
+    feeder.start()
+    got = _run(capsys, ["validate", str(fifo)])
+    feeder.join(timeout=60)
+    assert not feeder.is_alive()
+    assert got == want
+
+
+@pytest.mark.parametrize("semantics", ["deterministic", "nondeterministic",
+                                       "probabilistic", "quantum"])
+def test_a_loaded_program_outlives_its_file(tmp_path, capsys, semantics):
+    """Nothing read refers to the file: a branch that still pointed into
+    its mapped pages would fault once the file is cut to 0 bytes."""
+    emb = {"deterministic": "", "nondeterministic": ",nondet",
+           "probabilistic": ",prob", "quantum": ",quantum"}[semantics]
+    built = tmp_path / "built.json"
+    assert _run(capsys, ["build", f"mxpj:2,4{emb}", "-o", str(built)])[0] == 0
+    mixed = tmp_path / "mixed.json"     # dense matrices and edge sets too
+    program.save_program(random_program(random.Random(7), semantics, n=3,
+                                        k=2, wmax=4), str(mixed))
+    for path in (built, mixed):
+        text = path.read_text()
+        p = load_program(str(path))
+        os.truncate(path, 0)
+        assert serialize(p) + "\n" == text
 
 
 def test_byte_identical_reruns(tmp_path, capsys):

@@ -742,6 +742,37 @@ def test_writer_texts_take_the_layout_read(name):
         assert p.structurally_equal(_outcome_via_json(t))
 
 
+def _near_text(rng: random.Random, lits: list[str]) -> str:
+    """A text of the literals' own characters: whole literals, literals
+    with one character changed, cut ones that the next piece overlaps,
+    and single characters."""
+    chars = sorted(set("".join(lits)))
+    parts = []
+    for _ in range(rng.randrange(1, 40)):
+        lit, kind = rng.choice(lits), rng.randrange(4)
+        at = rng.randrange(len(lit))
+        parts.append((rng.choice(chars), lit, lit[:at],
+                      lit[:at] + rng.choice(chars) + lit[at + 1:])[kind])
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hop_search_agrees_with_find(seed):
+    rng = random.Random(seed)
+    lits = list(program._LEVEL[1:])     # what _read_layout looks for
+    for _ in range(25):
+        text = _near_text(rng, lits)
+        starts = {0, len(text), *(rng.randrange(len(text) + 1)
+                                  for _ in range(6))}
+        for t, cut in ((text, lits), (text.encode(),
+                                      [lit.encode() for lit in lits])):
+            for lit in cut:
+                for hop in range(len(lit)):  # exact at any offset
+                    for pos in starts:
+                        assert program._find(t, lit, pos, hop) == \
+                            t.find(lit, pos), (t, lit, pos, hop)
+
+
 def test_format_errors_name_position():
     rng = random.Random(3)
     doc = _doc(random_det_program(rng, 2, 1))
@@ -923,3 +954,23 @@ def test_load_program_holds_the_file_about_once(tmp_path):
     assert q.structurally_equal(p)
     # one copy of the file's bytes, not bytes and str at once
     assert peak < 1.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("emb", ["prob", "quantum"])
+def test_load_program_holds_no_copy_of_the_file(tmp_path, emb):
+    from kobdd import (build_mxpj_id_obdd, compile_to_prob,
+                       compile_to_quantum, load_program, save_program)
+    path = tmp_path / "p.json"
+    compile_to = {"prob": compile_to_prob, "quantum": compile_to_quantum}
+    p = compile_to[emb](build_mxpj_id_obdd(2, 4))
+    save_program(p, str(path))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        q = load_program(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.structurally_equal(p)
+    # the file is mapped, and only its distinct bodies are copied out
+    assert peak < size / 2, (peak, size)
