@@ -74,7 +74,7 @@ def _refine(parent: np.ndarray, rows, p: int):
     """
     import numpy as np
     s = parent.shape[1].bit_length() - 1
-    step = 1 << (17 - s)                 # np.unique sorts <= 2^16 keys
+    step = 1 << (17 - s)                 # <= 2^16 keys sorted at once
     out = np.empty((len(rows), 1 << (s - 1)), np.int32)
     counts = np.empty(len(rows), np.int64)
     for b in range(0, len(rows), step):
@@ -82,11 +82,14 @@ def _refine(parent: np.ndarray, rows, p: int):
         ids = parent[rows[b:b + k]].astype(np.int64).reshape(k, -1, 2, 1 << p)
         keys = (np.arange(k, dtype=np.int64)[:, None, None] << 2 * s
                 | ids[:, :, 0] << s | ids[:, :, 1])
-        # 1-D keys only: numpy 2.0 changed the inverse's shape for n-d input
-        uniq, inverse = np.unique(keys.ravel(), return_inverse=True)
-        start = np.searchsorted(uniq >> 2 * s, np.arange(k + 1))
-        counts[b:b + k] = np.diff(start)
-        out[b:b + k] = inverse.reshape(k, -1) - start[:k, None]
+        # one sort of (key, position): a key fills s + 17 <= 32 bits
+        order = np.sort(keys.reshape(-1) << 16 | np.arange(keys.size))
+        new = np.diff(order >> 16, prepend=-1) != 0    # keys are >= 0
+        rank = np.cumsum(new) - 1        # rank among the block's keys
+        start = rank[::keys.size // k]   # a row's keys follow its first
+        counts[b:b + k] = np.diff(start, append=rank[-1] + 1)
+        rank -= np.repeat(start, keys.size // k)
+        out[b:b + k].reshape(-1)[order & 0xFFFF] = rank
     return out, counts
 
 

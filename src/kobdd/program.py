@@ -52,8 +52,10 @@ text.  A text in the writer's layout (a file is mapped, not read) is cut
 in one pass at the writer's fixed punctuation, and each piece goes to
 ``json.loads``: the header once (it must re-dump to its own text), each
 distinct transition once (equal ones share the result), each distinct
-matrix entry once.  Any other text, and any text with an error, is
-parsed whole by ``json.loads``, and that read alone words every error.
+matrix entry once; a matrix body that is exactly the writer's one-hot
+text of a successor tuple is that tuple, unparsed.  Any other text, and
+any text with an error, is parsed whole by ``json.loads``, and that read
+alone words every error.
 :func:`validate` checks each distinct transition once.
 """
 
@@ -521,6 +523,9 @@ def validate(p: Program) -> ValidationReport:
 # fixed depth, and the document is one join of the pieces.
 
 _CELL = '{\n     "im": %s,\n     "re": %s\n    }'
+#: The texts of a one-hot matrix's 0 and 1 entries, of equal length.
+_ONE_HOT = {"probabilistic": ('"0.0"', '"1.0"'),
+            "quantum": (_CELL % ('"0.0"', '"0.0"'), _CELL % ('"0.0"', '"1.0"'))}
 #: The text before, between and after the five fields of a level.
 _LEVEL = ('  {\n   "t0": ', ',\n   "t1": ', ',\n   "var": ',
           ',\n   "width_in": ', ',\n   "width_out": ', '\n  }')
@@ -533,8 +538,7 @@ def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
         edges = enumerate(t, 1) if isinstance(t, tuple) else sorted(t)
         return [f"[\n     {s},\n     {d}\n    ]" for s, d in edges]
     if isinstance(t, tuple):    # one-hot: column c holds its 1 in row t[c]
-        zero, one = ('"0.0"', '"1.0"') if semantics == "probabilistic" else (
-            _CELL % ('"0.0"', '"0.0"'), _CELL % ('"0.0"', '"1.0"'))
+        zero, one = _ONE_HOT[semantics]
         text = [zero] * (width_out * len(t))
         for c, s in enumerate(t):
             text[(s - 1) * len(t) + c] = one
@@ -753,6 +757,29 @@ def _decode_items(items: list[str], semantics: str, width_in: int,
                    width_in, width_out)
 
 
+def _one_hot(body: str, semantics: str, width_in: int,
+             width_out: int) -> tuple[int, ...] | None:
+    """The successor tuple t if body is exactly the writer's one-hot text
+    of t, else None; never raises.  0 and 1 cells are equally long, so a
+    "1.0" places its cell by its offset; t's text must then equal body."""
+    one = _ONE_HOT[semantics][1]
+    first, sep, last = _ITEMS["probabilistic"]     # as _encode_list puts
+    stride, at = len(one) + len(sep), len(first) + one.index('"1.0"')
+    if len(body) != width_in * width_out * stride - len(sep) + len(
+            first + last):
+        return None
+    succ, pos = [0] * width_in, 0
+    for _ in range(width_in):
+        pos = body.find('"1.0"', pos)
+        cell, off = divmod(pos - at, stride)
+        if pos < at or off:
+            return None
+        succ[cell % width_in], pos = cell // width_in + 1, pos + stride
+    t = tuple(succ)
+    return t if 0 not in t and body == _encode_list(
+        _entries(t, semantics, width_out)) else None
+
+
 def _find(text, lit, pos: int, hop: int) -> int:
     """text.find(lit, pos) in a str, bytes or map: a one-byte find (memchr)
     for lit[hop], each hit confirmed against lit whole.  Exact for any hop;
@@ -772,8 +799,10 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
 
     One pass cuts the text at the writer's literals (:func:`_find`) and
     copies each piece out; equal pieces share one object, decoded once (as
-    UTF-8 for json.loads, if bytes).  A map's pages already cut are dropped
-    (madvise) every ``_DROP`` bytes; touched again, they are read again.
+    UTF-8 for json.loads, if bytes); a matrix body is cut into items only
+    if :func:`_one_hot` finds it is no one-hot text.  A map's pages already
+    cut are dropped (madvise) every ``_DROP`` bytes; touched again, they are
+    read again.
     """
     enc, dec = ((str, str) if isinstance(text, str)
                 else (str.encode, bytes.decode))
@@ -818,10 +847,12 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
             read, decode = partial(_cut_items, semantics), _decode_items
         else:
             read, decode = json.loads, _decode_transition
+        def make(body, *shape):     # a one-hot text is read as its tuple
+            body = dec(body)
+            return (semantics in _ITEMS and _one_hot(body, *shape[:3])
+                    or decode(read(body), *shape))
         transition = _memo(lambda body, _, w_in, w_out, where:
-                           (id(body), w_in, w_out),
-                           lambda body, *shape: decode(read(dec(body)),
-                                                       *shape))
+                           (id(body), w_in, w_out), make)
         decoded = []
         for t0, t1, *numbers in levels:
             rl = dict(zip(("var", "width_in", "width_out"),

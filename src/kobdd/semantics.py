@@ -141,7 +141,13 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
             op0, op1 = ops() if callable(ops) else ops
             if state is None:
                 state = np.eye(len(op0), dtype=dtype)[node]
-            state = np.where(bits[var][:, None], state @ op1, state @ op0)
+            # each row passes only the branch its bit takes
+            out = np.empty((len(state), op0.shape[1]),
+                           np.result_type(state, op0, op1))
+            for bit, op in ((0, op0), (1, op1)):
+                rows = np.flatnonzero(bits[var] == bit)
+                out[rows] = state[rows] @ op
+            state = out
             if nondet:
                 # stay a 0/1 indicator: unclamped path counts overflow
                 np.minimum(state, 1, out=state)

@@ -742,6 +742,79 @@ def test_writer_texts_take_the_layout_read(name):
         assert p.structurally_equal(_outcome_via_json(t))
 
 
+#: A one-hot 0 cell as the writer spells it, by hand; a 1 cell is as long.
+_ZERO_CELL = {"probabilistic": '"0.0"',
+              "quantum": '{\n     "im": "0.0",\n     "re": "0.0"\n    }'}
+
+
+def _embedded_text(emb: str, k: int, d: int) -> str:
+    from kobdd import build_mxpj_id_obdd, compile_to_prob, compile_to_quantum
+    compile_to = {"prob": compile_to_prob, "quantum": compile_to_quantum}
+    return serialize(compile_to[emb](build_mxpj_id_obdd(k, d)))
+
+
+def _one_hot_mutant(text: str, stride: int, at: int, kind: str) -> str:
+    """text with the "1.0" at offset at moved, shifted, duplicated,
+    dropped or respelled; a neighbour cell's value sits stride away."""
+    def put(s, i, new, old='"0.0"'):
+        assert s[i:i + len(old)] == old
+        return s[:i] + new + s[i + len(old):]
+
+    # the neighbour cell in the same body, next or else previous
+    near = at + stride if text[at + stride:at + stride + 5] == '"0.0"' \
+        else at - stride
+    if kind == "move":
+        return put(put(text, at, '"0.0"', '"1.0"'), near, '"1.0"')
+    if kind == "duplicate":
+        return put(text, near, '"1.0"')
+    if kind == "shift":                 # one character earlier, same length
+        return put(text, at - 1, '"1.0" ', ' "1.0"')
+    if kind == "zero -0.0":
+        return put(text, near, '"-0.0"')
+    return put(text, at, {"drop": '"0.0"'}.get(kind, kind), '"1.0"')
+
+
+@pytest.mark.parametrize("k, d", [(1, 2), (1, 4)])
+@pytest.mark.parametrize("emb", ["prob", "quantum"])
+def test_a_bent_one_hot_body_reads_as_json_reads_it(emb, k, d):
+    text = _embedded_text(emb, k, d)
+    built = deserialize(text)
+    stride = len(_ZERO_CELL[built.semantics] + ",\n    ")
+    ones = [m.start() for m in re.finditer('"1.0"', text)]
+    rng = random.Random(k * 10 + d)
+    for kind in ["move", "shift", "duplicate", "drop", '"1.00"', '"1e0"',
+                 '"-0.0"', "zero -0.0"]:
+        # every 1 of mxpj:1,2, some of mxpj:1,4
+        for at in ones if len(ones) <= 32 else rng.sample(ones, 4):
+            mutant = _one_hot_mutant(text, stride, at, kind)
+            _assert_read_as_json_reads(mutant)
+            got = deserialize(mutant)
+            branches = [t for l in got.levels for t in (l.t0, l.t1)]
+            if kind in ('"1.00"', '"1e0"'):     # the same values
+                assert got.structurally_equal(built)
+            elif "-0.0" in kind:                # bits no 0/1 matrix has
+                assert sum(isinstance(t, np.ndarray) for t in branches) == 1
+
+
+@pytest.mark.parametrize("emb", ["prob", "quantum"])
+def test_built_one_hot_bodies_are_read_without_cutting_items(monkeypatch,
+                                                             emb):
+    text = _embedded_text(emb, 2, 4)
+    calls = []
+    cut = program._cut_items
+    monkeypatch.setattr(program, "_cut_items",
+                        lambda *args: calls.append(args) or cut(*args))
+    for t in (text, text.encode()):
+        p = deserialize(t)
+        assert all(isinstance(b, tuple) for l in p.levels
+                   for b in (l.t0, l.t1))
+        assert serialize(p) == text
+    assert calls == []
+    # a dense body still takes the item cut, once
+    assert _read_layout(text.replace('"1.0"', '"1.00"', 1)) is not None
+    assert len(calls) == 1
+
+
 def _near_text(rng: random.Random, lits: list[str]) -> str:
     """A text of the literals' own characters: whole literals, literals
     with one character changed, cut ones that the next piece overlaps,

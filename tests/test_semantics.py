@@ -533,6 +533,42 @@ def test_embeddings_match_the_oracles_on_all_inputs(monkeypatch, semantics):
         _against_dense(monkeypatch, p, xs)
 
 
+class _Counted(np.ndarray):
+    """An operator that records the row count of each product it is in."""
+
+    rows: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Counted.rows.append(len(inputs[0]))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs),
+                                      **kwargs)
+
+
+@pytest.mark.parametrize("semantics", ["nondeterministic", "probabilistic",
+                                       "quantum"])
+def test_a_dense_level_multiplies_each_row_by_one_branch(monkeypatch,
+                                                         semantics):
+    dense = kernel._dense
+    monkeypatch.setattr(kernel, "_dense", lambda *args:
+                        dense(*args).view(_Counted))
+    for seed in range(4):
+        rng = random.Random(700 + seed)
+        p = random_program(rng, semantics, n=4, k=2)
+        xs = np.random.default_rng(seed).integers(0, 2, (50, 4),
+                                                  dtype=np.uint8)
+        _Counted.rows = []
+        got = kernel._kernel(p, xs, "test", (semantics,))
+        # t0's rows, then t1's, at each dense level: 50 rows in all
+        assert _Counted.rows and len(_Counted.rows) % 2 == 0
+        assert {a + b for a, b in zip(_Counted.rows[::2],
+                                      _Counted.rows[1::2])} == {50}
+        for m, row in enumerate(xs):
+            x = Assignment(tuple(row.tolist()))
+            assert got[m] == pytest.approx(_BY_HAND[semantics](p, x),
+                                           abs=1e-12)
+
+
 def _random_branch(semantics: str, nprng, w: int):
     if semantics == "nondeterministic":
         return frozenset((s, t) for s in range(1, w + 1)
