@@ -103,8 +103,9 @@ def _chain_counts(table: np.ndarray, n: int, drops) -> list[int]:
     return counts
 
 
-def _lattice_counts(table: np.ndarray, n: int) -> np.ndarray:
-    """Count of every prefix set of size 2..n-1, indexed by bitmask.
+def _lattice_counts(table: np.ndarray, n: int) -> tuple:
+    """Count of every prefix set of size 2..n-1, and the bit count of
+    every mask, each indexed by bitmask.
 
     Layers of int32 ids run top-down by size, two at a time.  A mask's
     parent is mask | its lowest unset bit x, so x is bit x of its index.
@@ -124,7 +125,7 @@ def _lattice_counts(table: np.ndarray, n: int) -> np.ndarray:
             layer[sel], counts[child[sel]] = _refine(
                 ids, row[child[sel] | (1 << x)], x)
         ids = layer
-    return counts
+    return counts, size
 
 
 def count_subfunctions_at_cut(f: FunctionOracle, subset_a) -> int:
@@ -198,8 +199,7 @@ def optimal_order(f: FunctionOracle) -> tuple[int, VariableOrder]:
     if f.n < 3:
         raise ValueError(f"lattice method needs 3 <= n <= {LATTICE_GUARD}, "
                          f"got n = {f.n}")
-    best = _lattice_counts(truth_table_of(f), f.n)
-    size = np.array([m.bit_count() for m in range(1 << f.n)])
+    best, size = _lattice_counts(truth_table_of(f), f.n)
     for s in range(3, f.n):
         masks = np.flatnonzero(size == s)
         below = np.min([np.where((masks >> j) & 1, best[masks & ~(1 << j)],

@@ -49,13 +49,13 @@ sort_keys=True)``, rendering each distinct transition once.
 :func:`deserialize` has two reads.  They share every decoder (header,
 level, transition, matrix entry) and differ only in how they cut the
 text.  A text in the writer's layout (a file is mapped, not read) is cut
-in one pass at the writer's fixed punctuation, and each piece goes to
-``json.loads``: the header once (it must re-dump to its own text), each
-distinct transition once (equal ones share the result), each distinct
-matrix entry once; a matrix body that is exactly the writer's one-hot
-text of a successor tuple is that tuple, unparsed.  Any other text, and
-any text with an error, is parsed whole by ``json.loads``, and that read
-alone words every error.
+into levels in one pass at the writer's fixed punctuation, and each piece
+goes to ``json.loads``: the header once (it must re-dump to its own
+text), each distinct transition once (equal ones share the result); a
+matrix body that is exactly the writer's one-hot text of a successor
+tuple is that tuple, unparsed.  Any other text, and any text with an
+error, is parsed whole by ``json.loads``, and that read alone words
+every error.
 :func:`validate` checks each distinct transition once.
 """
 
@@ -284,6 +284,11 @@ def _matrix_key(m: np.ndarray) -> tuple:    # equal bits, dtype and layout
     return m.dtype, m.shape, m.strides, m.tobytes()
 
 
+def _branch_key(t: Any, *widths: int) -> tuple:
+    """A memo key: a matrix by its bits, any other branch by its object."""
+    return (_matrix_key(t) if _is_ndarray(t) else id(t), *widths)
+
+
 def _function_tuple(t: Any, width_in: int,
                     width_out: int) -> tuple[int, ...] | None:
     """Branch t as a tuple of 1-based successors when it is a 0/1 total
@@ -484,11 +489,8 @@ def validate(p: Program) -> ValidationReport:
     if bad_accept:
         v.append(f"accept nodes {bad_accept} outside 1..{p.final_width}")
 
-    # one check per distinct transition and widths (a matrix by its bits,
-    # any other branch by its object); each level keeps its tag
-    faults = _memo(lambda t, *widths: (_matrix_key(t) if _is_ndarray(t)
-                                       else id(t), *widths),
-                   partial(_branch_faults, semantics=p.semantics))
+    # one check per distinct transition and widths; each level keeps its tag
+    faults = _memo(_branch_key, partial(_branch_faults, semantics=p.semantics))
     for i, lvl in enumerate(p.levels):
         if not 1 <= lvl.variable <= p.n:
             v.append(f"levels[{i}]: variable {lvl.variable} out of range")
@@ -523,6 +525,8 @@ def validate(p: Program) -> ValidationReport:
 # fixed depth, and the document is one join of the pieces.
 
 _CELL = '{\n     "im": %s,\n     "re": %s\n    }'
+#: A transition's text before its first item, between two and after its last.
+_LIST = ("[\n    ", ",\n    ", "\n   ]")
 #: The texts of a one-hot matrix's 0 and 1 entries, of equal length.
 _ONE_HOT = {"probabilistic": ('"0.0"', '"1.0"'),
             "quantum": (_CELL % ('"0.0"', '"0.0"'), _CELL % ('"0.0"', '"1.0"'))}
@@ -558,7 +562,7 @@ def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
 
 
 def _encode_list(entries: list[str]) -> str:
-    return "[\n    " + ",\n    ".join(entries) + "\n   ]" if entries else "[]"
+    return _LIST[0] + _LIST[1].join(entries) + _LIST[2] if entries else "[]"
 
 
 def serialize(p: Program) -> str:
@@ -579,7 +583,7 @@ def serialize(p: Program) -> str:
         return before + '"levels": []' + after
     # one text per distinct matrix, or per object, and width_out (a
     # tuple's one-hot height): (True, 2) == (1, 2)
-    body = _memo(lambda t, w: (_matrix_key(t) if _is_ndarray(t) else id(t), w),
+    body = _memo(_branch_key,
                  lambda t, w: _encode_list(_entries(t, p.semantics, w)))
     pieces = [before, '"levels": [\n']
     for l in p.levels:
@@ -729,32 +733,6 @@ def _decode_level(rl: Any, where: str, semantics: str,
 # whole text would decode it.
 
 _LEVELS = '\n "levels": [\n'
-#: A matrix transition's text before its first item, between two items
-#: and after its last; quantum items are cut inside their braces.
-_ITEMS = {"probabilistic": ("[\n    ", ",\n    ", "\n   ]"),
-          "quantum": ("[\n    {", "},\n    {", "}\n   ]")}
-
-
-def _cut_items(semantics: str, body: str) -> list[str]:
-    first, sep, last = _ITEMS[semantics]
-    if not (body.startswith(first) and body.endswith(last)):
-        raise ValueError("not the writer's layout")
-    return body[len(first):len(body) - len(last)].split(sep)
-
-
-def _decode_items(items: list[str], semantics: str, width_in: int,
-                  width_out: int, where: str) -> tuple | np.ndarray:
-    """The branch of items cut by :func:`_cut_items`, by :func:`_matrix`;
-    each distinct item is decoded once, by :func:`_decode_entry`."""
-    if len(items) != width_in * width_out:
-        raise ValueError("wrong entry count")
-    table = dict.fromkeys(items)
-    for item in table:
-        x = json.loads(item if semantics == "probabilistic"
-                       else "{" + item + "}")
-        table[item] = _decode_entry(x, semantics, where)
-    return _matrix(list(map(table.__getitem__, items)), semantics,
-                   width_in, width_out)
 
 
 def _one_hot(body: str, semantics: str, width_in: int,
@@ -763,7 +741,7 @@ def _one_hot(body: str, semantics: str, width_in: int,
     of t, else None; never raises.  0 and 1 cells are equally long, so a
     "1.0" places its cell by its offset; t's text must then equal body."""
     one = _ONE_HOT[semantics][1]
-    first, sep, last = _ITEMS["probabilistic"]     # as _encode_list puts
+    first, sep, last = _LIST                        # as _encode_list puts
     stride, at = len(one) + len(sep), len(first) + one.index('"1.0"')
     if len(body) != width_in * width_out * stride - len(sep) + len(
             first + last):
@@ -797,12 +775,12 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
     writes it and decodes cleanly; None otherwise, so that the json.loads
     path reads it and names any error.
 
-    One pass cuts the text at the writer's literals (:func:`_find`) and
-    copies each piece out; equal pieces share one object, decoded once (as
-    UTF-8 for json.loads, if bytes); a matrix body is cut into items only
-    if :func:`_one_hot` finds it is no one-hot text.  A map's pages already
-    cut are dropped (madvise) every ``_DROP`` bytes; touched again, they are
-    read again.
+    One pass cuts the text into levels at the writer's literals
+    (:func:`_find`) and copies each piece out; equal pieces share one
+    object, decoded once as the whole-text read decodes it (json.loads, of
+    UTF-8 if bytes), but a one-hot matrix body (:func:`_one_hot`) is read
+    as its tuple.  A map's pages already cut are dropped (madvise) every
+    ``_DROP`` bytes; touched again, they are read again.
     """
     enc, dec = ((str, str) if isinstance(text, str)
                 else (str.encode, bytes.decode))
@@ -843,14 +821,10 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
             return None
         fields = _decode_header(doc)
         semantics = fields["semantics"]
-        if semantics in _ITEMS:
-            read, decode = partial(_cut_items, semantics), _decode_items
-        else:
-            read, decode = json.loads, _decode_transition
         def make(body, *shape):     # a one-hot text is read as its tuple
             body = dec(body)
-            return (semantics in _ITEMS and _one_hot(body, *shape[:3])
-                    or decode(read(body), *shape))
+            return (semantics in _ONE_HOT and _one_hot(body, *shape[:3])
+                    or _decode_transition(json.loads(body), *shape))
         transition = _memo(lambda body, _, w_in, w_out, where:
                            (id(body), w_in, w_out), make)
         decoded = []

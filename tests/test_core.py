@@ -799,20 +799,46 @@ def test_a_bent_one_hot_body_reads_as_json_reads_it(emb, k, d):
 @pytest.mark.parametrize("emb", ["prob", "quantum"])
 def test_built_one_hot_bodies_are_read_without_cutting_items(monkeypatch,
                                                              emb):
+    """A built body is read as its tuple: no general decode of a body."""
     text = _embedded_text(emb, 2, 4)
     calls = []
-    cut = program._cut_items
-    monkeypatch.setattr(program, "_cut_items",
-                        lambda *args: calls.append(args) or cut(*args))
+    decode = program._decode_transition
+    monkeypatch.setattr(program, "_decode_transition",
+                        lambda *args: calls.append(args) or decode(*args))
     for t in (text, text.encode()):
         p = deserialize(t)
         assert all(isinstance(b, tuple) for l in p.levels
                    for b in (l.t0, l.t1))
         assert serialize(p) == text
     assert calls == []
-    # a dense body still takes the item cut, once
+    # a dense body still takes the general decode, once
     assert _read_layout(text.replace('"1.0"', '"1.00"', 1)) is not None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("semantics", ["probabilistic", "quantum"])
+def test_a_mapped_dense_file_reads_as_json_reads_it(tmp_path, monkeypatch,
+                                                    semantics):
+    """Dense bodies read past a page drop of the map, by the layout read,
+    as json.loads reads the file's compact text."""
+    rng = random.Random(20)
+    p = (random_prob_program(rng, 9, 2, wmax=64) if semantics ==
+         "probabilistic" else random_quantum_program(rng, 3, 1, w=64))
+    path = tmp_path / "p.json"
+    program.save_program(p, str(path))
+    text = path.read_text()
+    assert len(text) > program._DROP
+    lengths = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *args, **kwargs:
+                        lengths.append(len(s)) or loads(s, *args, **kwargs))
+    got = program.load_program(str(path))
+    assert max(lengths) < len(text) // 2        # no whole-text parse
+    monkeypatch.undo()
+    want = deserialize(json.dumps(json.loads(text)))
+    assert got.structurally_equal(want) and want.structurally_equal(got)
+    assert any(isinstance(t, np.ndarray) for l in got.levels
+               for t in (l.t0, l.t1))
 
 
 def _near_text(rng: random.Random, lits: list[str]) -> str:
