@@ -9,6 +9,8 @@ the four models' powers.
 
 Each public name is imported from its module on first use, so that
 ``import kobdd`` loads no submodule and a command loads only its own.
+``_EXPORTS`` is the one list of each name's home module; ``kobdd.cli``
+imports on demand from it too.
 """
 
 import importlib
@@ -17,7 +19,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analysis": """CHAINS BoundReport Constants DEFAULT_CONSTANTS
-        EmpiricalBoundReport OutOfRegimeError bound_log2 check_chain
+        EmpiricalBoundReport bound_log2 check_chain check_table_size
         count_subfunctions_at_cut default_grid empirical_bound_check
         lower_log2 n_min n_min_by_enumeration n_theta optimal_order
         subfunction_profile truth_table_of""",

@@ -36,10 +36,6 @@ LATTICE_GUARD = 16
 FACTORIAL_GUARD = 6
 
 
-class OutOfRegimeError(ValueError):
-    """Chain parameters give a reduced width below 1."""
-
-
 # ---------------------------------------------------------------------------
 # counting distinct subfunctions
 
@@ -418,13 +414,10 @@ _CHAIN_FNS = {
 
 def check_chain(chain: str, *, k: int, w: int | None = None,
                 d: int | None = None,
-                constants: Constants = DEFAULT_CONSTANTS,
-                strict: bool = True) -> BoundReport:
+                constants: Constants = DEFAULT_CONSTANTS) -> BoundReport:
     """Evaluate one inequality chain at one parameter point.
 
-    With strict=True a reduced width below 1 raises OutOfRegimeError;
-    with strict=False the report still carries the margin and flags
-    in_regime=False instead.
+    A reduced width below 1 still gives the margin, with in_regime=False.
     """
     if chain not in _CHAIN_FNS:
         raise ValueError(f"unknown chain {chain!r}; "
@@ -440,12 +433,7 @@ def check_chain(chain: str, *, k: int, w: int | None = None,
         raise ValueError(f"{chain} at k={k}, {size_name}={size}: reduced "
                          "width, lhs, rhs or margin is not finite under "
                          f"{constants!r}")
-    if r < 1:
-        if strict:
-            raise OutOfRegimeError(
-                f"{chain} at k={k}, {size_name}={size}: reduced width "
-                f"{r:.4f} < 1, outside the separation's regime")
-        in_regime = False
+    in_regime = in_regime and r >= 1
     return BoundReport(chain=chain, k=k,
                        w=size if size_name == "w" else None,
                        d=size if size_name == "d" else None,

@@ -28,41 +28,31 @@ import itertools
 import sys
 from pathlib import Path
 
+from . import _EXPORTS, _HOME
 from .program import (CHAIN_SIZE, CHAINS, EXHAUSTIVE_LIMIT, SWEEP_CHUNK,
                       Assignment, ProgramFormatError, VariableOrder,
-                      all_assignments_array, load_program, serialize,
-                      sweep_rows, validate, width)
-
-#: The names this module uses from each module but ``program``, which a
-#: command imports only when it needs them (see :func:`_need`).
-_LAZY = {
-    "analysis": ("Constants", "check_chain", "check_table_size",
-                 "default_grid", "optimal_order", "subfunction_profile"),
-    "constructions": ("build_mxpj_id_obdd", "build_saf_2k_obdd",
-                      "compile_to_nondet", "compile_to_prob",
-                      "compile_to_quantum"),
-    "functions": ("SAFLayout", "parse_function", "truth_table_function"),
-    "semantics": ("accept_prob", "accept_prob_batch", "eval_det",
-                  "eval_det_batch", "eval_nondet", "eval_nondet_batch"),
-}
+                      _write_sliced, all_assignments_array, load_program,
+                      serialize, sweep_rows, validate, width)
 
 
 def _need(*modules: str) -> None:
-    """Import modules and bind their names in _LAZY as globals here.  A
-    name already bound, say one patched by a caller, is kept."""
+    """Import modules and bind, as globals here, the names that
+    ``kobdd._EXPORTS`` lists for them.  A name already bound, say one
+    patched by a caller, is kept."""
     for module in modules:
         found = importlib.import_module(f"{__package__}.{module}")
-        for name in _LAZY[module]:
+        for name in _EXPORTS[module].split():
             globals().setdefault(name, getattr(found, name))
 
 
 def __getattr__(name: str):
-    """A name in _LAZY, looked up from outside, imports its module."""
-    for module, names in _LAZY.items():
-        if name in names:
-            _need(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A public name of the package, looked up from outside, imports its
+    module."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    _need(_HOME[name])
+    return globals()[name]
 
 
 def _say(text: str) -> None:
@@ -70,12 +60,10 @@ def _say(text: str) -> None:
 
 
 def _emit(text: str, out: str | None, end: str = "") -> None:
-    """text, then end, to out or stdout; a long text is never encoded whole."""
+    """text, then end, to out (as UTF-8) or stdout, a slice at a time."""
     with (contextlib.nullcontext(sys.stdout) if out is None
-          else Path(out).open("w")) as fh:
-        for i in range(0, len(text), 1 << 18):
-            fh.write(text[i:i + (1 << 18)])
-        fh.write(end)
+          else Path(out).open("w", encoding="utf-8")) as fh:
+        _write_sliced(fh, text, end)
 
 
 def _parse_constants(text: str | None) -> Constants:
@@ -107,6 +95,8 @@ def _parse_axis(text: str, name: str) -> list[int]:
     A range is cut off past AXIS_LIMIT points before it is built, so an
     axis too long to build is rejected at no cost.
     """
+    if not text.strip():
+        raise ValueError("empty axis")
     points: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -302,7 +292,7 @@ def _cmd_bounds(args) -> int:
     _need("analysis")
     constants = _parse_constants(args.constants)
     if args.chain == "all":
-        if args.k or args.w or args.d:
+        if (args.k, args.w, args.d) != (None, None, None):
             raise ValueError("explicit axes need a single chain")
         chains = list(CHAINS)
     elif args.chain in CHAINS:
@@ -310,18 +300,18 @@ def _cmd_bounds(args) -> int:
     else:
         raise ValueError(f"unknown chain {args.chain!r}; choose from "
                          f"{', '.join(CHAINS)} or all")
-    ks = _parse_axis(args.k, "--k") if args.k else None
+    ks = _parse_axis(args.k, "--k") if args.k is not None else None
     grids = []
     for chain in chains:
         size_name = CHAIN_SIZE[chain]
         axis = args.w if size_name == "w" else args.d
-        if args.w and size_name != "w":
+        if args.w is not None and size_name != "w":
             raise ValueError(f"chain {chain} is parameterized by d, not w")
-        if args.d and size_name != "d":
+        if args.d is not None and size_name != "d":
             raise ValueError(f"chain {chain} is parameterized by w, not d")
         grid = default_grid(chain)
         grids.append((chain, size_name, ks or sorted({g["k"] for g in grid}),
-                      _parse_axis(axis, f"--{size_name}") if axis
+                      _parse_axis(axis, f"--{size_name}") if axis is not None
                       else sorted({g[size_name] for g in grid})))
     total = sum(len(k_axis) * len(sizes) for *_, k_axis, sizes in grids)
     if total > GRID_LIMIT:
@@ -332,8 +322,8 @@ def _cmd_bounds(args) -> int:
         nonlocal worst
         for chain, size_name, k_axis, sizes in grids:
             for size, k in itertools.product(sizes, k_axis):
-                r = check_chain(chain, constants=constants, strict=False,
-                                k=k, **{size_name: size})
+                r = check_chain(chain, constants=constants, k=k,
+                                **{size_name: size})
                 worst = min(worst, r.margin)
                 yield [r.chain, r.k, "" if r.w is None else r.w,
                        "" if r.d is None else r.d, r.constants.describe(),

@@ -87,6 +87,12 @@ EXHAUSTIVE_LIMIT = 24
 SWEEP_CHUNK = 1 << 14
 #: Bytes of a mapped file cut between two drops of its pages (whole pages).
 _DROP = 1 << 20
+#: Characters per write of a long text.  A slice of ASCII text and its
+#: UTF-8 copy each stay below glibc malloc's default 128 KiB mmap
+#: threshold, so they come from the heap; larger ones may each be mapped
+#: and unmapped, or not, as the process's allocation history has moved
+#: that threshold, and a write's page faults with it.
+_SLICE = 1 << 16
 
 #: The size parameter each chain of ``analysis`` is stated over: w (width)
 #: or d (the pointer-jumping alphabet size), in the canonical chain order.
@@ -876,10 +882,17 @@ def deserialize(text: str | bytes | mmap.mmap) -> Program:
     return Program(levels=levels, **fields)
 
 
+def _write_sliced(fh, text: str, end: str = "") -> None:
+    """text, then end, to the text file fh; a long text is never encoded
+    whole, but one ``_SLICE`` at a time."""
+    for i in range(0, len(text), _SLICE):
+        fh.write(text[i:i + _SLICE])
+    fh.write(end)
+
+
 def save_program(p: Program, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(p))
-        fh.write("\n")
+        _write_sliced(fh, serialize(p), "\n")
 
 
 def load_program(path: str) -> Program:

@@ -139,15 +139,15 @@ def test_criterion_6_inequality_chains(capsys):
     for chain in ("s5-obdd", "s5-nobdd"):
         for d in (1 << e for e in range(4, 21)):
             for k in range(2, 65):
-                r = check_chain(chain, k=k, d=d, strict=False)
+                r = check_chain(chain, k=k, d=d)
                 ok = ok and r.margin > 0
     for d in (1 << e for e in range(4, 21)):
         for k in range(2, 65):
-            r = check_chain("hi-q", k=k, d=d, strict=False)
+            r = check_chain("hi-q", k=k, d=d)
             ok = ok and r.margin == k / 16 * math.log2(8 * k)
             ok = ok and r.margin > 0
     for chain, kw in (("hi-p", {"w": 64}), ("s5-pobdd", {"d": 1024})):
-        r = check_chain(chain, k=2, strict=False, **kw)
+        r = check_chain(chain, k=2, **kw)
         ok = ok and math.isfinite(r.margin)
         ok = ok and ("C1" in r.note or "C2" in r.note)
     elapsed = time.monotonic() - start

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_subfunction_count
-from kobdd import (Constants, FunctionOracle, OutOfRegimeError,
-                   VariableOrder, and_function, bound_log2, check_chain,
-                   constant_function,
+from kobdd import (Constants, FunctionOracle, VariableOrder,
+                   and_function, bound_log2, check_chain, constant_function,
                    count_subfunctions_at_cut, default_grid,
                    empirical_bound_check, lower_log2, mxpj_function, n_min,
                    n_min_by_enumeration, n_theta, optimal_order,
@@ -330,9 +329,7 @@ def test_hi_q_margin_is_final_exponent():
     assert r.lhs_log2 - r.rhs_log2 == 64 * r.margin
     assert "8C" in r.note or "C1" in r.note
 
-    with pytest.raises(OutOfRegimeError):
-        check_chain("hi-q", k=4, d=16)          # r = sqrt(1/2) < 1
-    loose = check_chain("hi-q", k=4, d=16, strict=False)
+    loose = check_chain("hi-q", k=4, d=16)      # r = sqrt(1/2) < 1
     assert not loose.in_regime
     assert loose.margin == pytest.approx(4 / 16 * math.log2(32), rel=1e-12)
 
@@ -341,9 +338,7 @@ def test_s5_obdd_frozen_points():
     r = check_chain("s5-obdd", k=4, d=1024)
     assert r.margin == 1280.0                   # 5kd/16
     assert r.reduced_width == 32.0
-    with pytest.raises(OutOfRegimeError):
-        check_chain("s5-obdd", k=2, d=16)
-    loose = check_chain("s5-obdd", k=2, d=16, strict=False)
+    loose = check_chain("s5-obdd", k=2, d=16)
     assert loose.margin == 10.0 and not loose.in_regime
 
 
@@ -374,9 +369,7 @@ def test_h_kobdd_witness_behavior():
     # odd k halves the witness layers; the corollary side then loses
     assert check_chain("h-kobdd", k=3, w=1024).margin < 0
 
-    with pytest.raises(OutOfRegimeError):
-        check_chain("h-kobdd", k=2, w=32)
-    loose = check_chain("h-kobdd", k=2, w=32, strict=False)
+    loose = check_chain("h-kobdd", k=2, w=32)
     assert loose.rhs_log2 == 0.0 and not loose.in_regime
 
 

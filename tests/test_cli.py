@@ -10,10 +10,12 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import kobdd
 from conftest import random_program
 from kobdd import (cli, constructions, load_program, program, serialize,
                    validate, width)
@@ -622,6 +624,29 @@ def test_bounds_all_chains(capsys):
     assert code == 2   # explicit axes need a single chain
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "hi-n", "--w", "8:16:2:4"], "bad range '8:16:2:4'"),
+    (["bounds", "hi-n", "--w", "8:64:x1"], "bad geometric range '8:64:x1'"),
+    (["bounds", "hi-n", "--w", "8:64:+0"], "bad range stride '8:64:+0'"),
+    (["bounds", "hi-n", "--w", "64:8"], "empty axis"),
+    (["bounds", "hi-n", "--w", ""], "empty axis"),
+    (["bounds", "hi-n", "--w", " "], "empty axis"),
+    (["bounds", "hi-n", "--k", ""], "empty axis"),
+    (["bounds", "all", "--k", ""], "explicit axes need a single chain"),
+    (["bounds", "all", "--d", "16"], "explicit axes need a single chain"),
+    (["bounds", "hi-n", "--constants", "C5=1"],
+     "bad constants token 'C5=1'; expected C=..., C1=..., C2=..., C3=..."),
+    (["subfn", "t.tt"], "t.tt: expected a 0/1 truth-table string")],
+    ids=["range", "geometric", "stride", "empty-range", "empty-w",
+         "blank-w", "empty-k", "all-empty-k", "all-d", "constants",
+         "truth-table"])
+def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv,
+                                   message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.tt").write_text("0120\n")
+    assert _run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_bounds_usage_errors(capsys):
     assert _run(capsys, ["bounds", "nope"])[0] == 2
     assert _run(capsys, ["bounds", "hi-n", "--d", "8"])[0] == 2
@@ -685,6 +710,56 @@ def test_build_stdout_matches_out_file(tmp_path, capsys, descriptor):
     assert _run(capsys, ["build", descriptor, "-o", str(path)])[:2] == (0, "")
     text = path.read_text()
     assert text == out == serialize(load_program(str(path))) + "\n"
+    program.save_program(load_program(str(path)), str(tmp_path / "s.json"))
+    assert (tmp_path / "s.json").read_bytes() == path.read_bytes()
+
+
+class _Spy:
+    """A text file that keeps what is written to it, one item a write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_long_texts_are_written_in_short_slices(monkeypatch):
+    text = serialize(constructions.compile_to_quantum(
+        constructions.build_mxpj_id_obdd(2, 4)))
+    spy = _Spy()
+    program._write_sliced(spy, text, "\n")
+    assert "".join(spy.writes) == text + "\n"
+    assert len(spy.writes) > 20
+    assert max(map(len, spy.writes)) == 65_536
+    monkeypatch.setattr(sys, "stdout", spy := _Spy())
+    assert main(["build", "mxpj:2,4,quantum"]) == 0
+    assert "".join(spy.writes) == text + "\n"
+    assert max(map(len, spy.writes)) == 65_536
+
+
+def test_save_program_never_encodes_the_whole_text(tmp_path, monkeypatch):
+    p = constructions.compile_to_quantum(
+        constructions.build_mxpj_id_obdd(2, 4))
+    text = serialize(p)
+    monkeypatch.setattr(program, "serialize", lambda q: text)
+    path = tmp_path / "p.json"
+    tracemalloc.start()
+    try:
+        program.save_program(p, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == text + "\n"
+    assert peak < path.stat().st_size / 4
+
+
+def test_cli_resolves_every_public_name_as_the_package_does():
+    for name in kobdd.__all__:
+        if name != "__version__":
+            assert cli.__getattr__(name) is getattr(kobdd, name), name
+    with pytest.raises(AttributeError):
+        cli.__getattr__("no_such_name")
 
 
 @pytest.mark.parametrize("descriptor", [
