@@ -61,40 +61,76 @@ def truth_table_of(f: FunctionOracle) -> np.ndarray:
     return table
 
 
-def _refine(parent: np.ndarray, rows, p: int):
+def _refine(parent: np.ndarray, rows, p: int, bound):
     """Drop the variable x at bit p from parent[rows]: new ids and counts.
 
     A row holds an id below 2^s per assignment to a prefix set of size s,
     bits in ascending variable order; equal ids mean equal restrictions.
-    A new id ranks, within its row, the pair (id at x = 0, id at x = 1).
+    bound[i] is the count of row rows[i], or a larger bound on its ids.
+    A new id ranks, within its row, the pair (id at x = 0, id at x = 1),
+    and each row takes the cheapest exact way its bound allows:
+
+    * saturated, bound = 2^s: every pair is distinct, so the ids are
+      0, 1, 2, ... and the count is 2^(s-1);
+    * small, bound^2 <= 2^(s-1): a table of the bound^2 pair codes
+      marks those present, and its cumsum ranks them;
+    * any other row: one sort of the codes, which gives the same ranks.
     """
     import numpy as np
+    rows, bound = np.asarray(rows), np.asarray(bound, np.int64)
     s = parent.shape[1].bit_length() - 1
-    step = 1 << (17 - s)                 # <= 2^16 keys sorted at once
-    out = np.empty((len(rows), 1 << (s - 1)), np.int32)
-    counts = np.empty(len(rows), np.int64)
-    for b in range(0, len(rows), step):
-        k = min(step, len(rows) - b)
-        ids = parent[rows[b:b + k]].astype(np.int64).reshape(k, -1, 2, 1 << p)
-        keys = (np.arange(k, dtype=np.int64)[:, None, None] << 2 * s
-                | ids[:, :, 0] << s | ids[:, :, 1])
-        # one sort of (key, position): a key fills s + 17 <= 32 bits
-        order = np.sort(keys.reshape(-1) << 16 | np.arange(keys.size))
-        new = np.diff(order >> 16, prepend=-1) != 0    # keys are >= 0
-        rank = np.cumsum(new) - 1        # rank among the block's keys
-        start = rank[::keys.size // k]   # a row's keys follow its first
-        counts[b:b + k] = np.diff(start, append=rank[-1] + 1)
-        rank -= np.repeat(start, keys.size // k)
-        out[b:b + k].reshape(-1)[order & 0xFFFF] = rank
+    half = 1 << (s - 1)
+    out = np.empty((len(rows), half), np.int32)
+    counts = np.full(len(rows), half, np.int64)
+    saturated = bound == 1 << s
+    out[saturated] = np.arange(half)
+    small = ~saturated & (bound * bound <= half)
+    step = 1 << (17 - s)                 # <= 2^16 pairs at once
+    for by_sort, pick in ((False, small), (True, ~saturated & ~small)):
+        at = np.flatnonzero(pick)
+        for b in range(0, len(at), step):
+            blk = at[b:b + step]
+            ids = parent[rows[blk]].reshape(len(blk), -1, 2, 1 << p)
+            out[blk], counts[blk] = _rank_pairs(ids[:, :, 0], ids[:, :, 1],
+                                                bound[blk], by_sort)
     return out, counts
+
+
+def _rank_pairs(lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
+                by_sort: bool):
+    """Each row's rank of its (lo, hi) pairs in lexicographic order, and
+    its count of distinct pairs; row i's ids are below c[i]."""
+    import numpy as np
+    k = len(c)
+    size = c * c                         # row i's codes lo * c[i] + hi
+    base = np.cumsum(size) - size        # each row's codes in their own range
+    codes = (base[:, None, None] + lo * c[:, None, None] + hi).reshape(-1)
+    if by_sort:      # one sort of (code, position): a code fills <= 33 bits
+        order = np.sort(codes << 16 | np.arange(codes.size))
+        new = np.diff(order >> 16, prepend=-1) != 0    # codes are >= 0
+        rank = np.cumsum(new) - 1        # rank among the block's codes
+        start = rank[::codes.size // k]  # a row's codes follow its first
+        counts = np.diff(start, append=rank[-1] + 1)
+        ids = np.empty(codes.size, np.int64)
+        ids[order & 0xFFFF] = rank
+    else:            # the count of codes present below each code
+        seen = np.zeros(size.sum(), bool)
+        seen[codes] = True
+        below = np.zeros(seen.size + 1, np.int64)
+        np.cumsum(seen, out=below[1:])
+        ids, start = below[codes], below[base]
+        counts = below[base + size] - start
+    return ids.reshape(k, -1) - start[:, None], counts
 
 
 def _chain_counts(table: np.ndarray, n: int, drops) -> list[int]:
     """Counts as the 0-based variables in drops leave the full set."""
     ids, mask, counts = table.reshape(1, -1), (1 << n) - 1, []
+    bound = [2]                          # the table holds 0 and 1
     for x in drops:
-        ids, count = _refine(ids, [0], (mask & ((1 << x) - 1)).bit_count())
-        counts.append(int(count[0]))
+        ids, bound = _refine(ids, [0], (mask & ((1 << x) - 1)).bit_count(),
+                             bound)
+        counts.append(int(bound[0]))
         mask &= ~(1 << x)
     return counts
 
@@ -105,12 +141,17 @@ def _lattice_counts(table: np.ndarray, n: int) -> tuple:
 
     Layers of int32 ids run top-down by size, two at a time.  A mask's
     parent is mask | its lowest unset bit x, so x is bit x of its index.
+    A layer's counts bound the next layer's ranking.  Below a set with
+    2^s classes every set has 2^s' classes, so once a whole layer is
+    saturated the smaller sizes are filled in and no layer is built.
     """
     import numpy as np
-    size = np.array([m.bit_count() for m in range(1 << n)])
+    size = np.zeros(1, np.int64)
+    for _ in range(n):                   # masks with the top bit: one more
+        size = np.concatenate((size, size + 1))
     counts = np.zeros(1 << n, np.int64)
     row = np.zeros(1 << n, np.intp)      # a mask's row in its layer; full: 0
-    ids = table.reshape(1, -1)
+    ids, bound = table.reshape(1, -1), np.array([2])    # ids 0 and 1
     for s in range(n - 1, 1, -1):
         child = np.flatnonzero(size == s)
         low = ~child & (child + 1)       # the lowest unset bit's value
@@ -118,9 +159,14 @@ def _lattice_counts(table: np.ndarray, n: int) -> tuple:
         layer = np.empty((len(child), 1 << s), np.int32)
         for x in range(n):
             sel = np.flatnonzero(low == 1 << x)
-            layer[sel], counts[child[sel]] = _refine(
-                ids, row[child[sel] | (1 << x)], x)
-        ids = layer
+            parent = row[child[sel] | (1 << x)]
+            layer[sel], counts[child[sel]] = _refine(ids, parent, x,
+                                                     bound[parent])
+        ids, bound = layer, counts[child]
+        if (bound == 1 << s).all():
+            below = (size >= 2) & (size < s)
+            counts[below] = 1 << size[below]
+            break
     return counts, size
 
 

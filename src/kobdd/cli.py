@@ -66,6 +66,15 @@ def _emit(text: str, out: str | None, end: str = "") -> None:
         _write_sliced(fh, text, end)
 
 
+def _number(flag: str, token: str, kind=int):
+    """token as an int (or as kind), or an error naming flag and token."""
+    try:
+        return kind(token)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag} needs {noun}, got {token!r}") from None
+
+
 def _parse_constants(text: str | None) -> Constants:
     if not text:
         return Constants()
@@ -79,7 +88,7 @@ def _parse_constants(text: str | None) -> Constants:
         if not sep or key not in ("c", "c1", "c2", "c3"):
             raise ValueError(f"bad constants token {token!r}; expected "
                              "C=..., C1=..., C2=..., C3=...")
-        values[key] = float(raw)
+        values[key] = _number("--constants", raw, float)
     return Constants(**values)
 
 
@@ -101,17 +110,15 @@ def _parse_axis(text: str, name: str) -> list[int]:
     for token in text.split(","):
         token = token.strip()
         if ":" not in token:
-            points.append(int(token))
+            points.append(_number(name, token))
         else:
             parts = token.split(":")
-            if len(parts) == 2:
-                lo, hi, step = int(parts[0]), int(parts[1]), "+1"
-            elif len(parts) == 3:
-                lo, hi, step = int(parts[0]), int(parts[1]), parts[2]
-            else:
+            if len(parts) not in (2, 3):
                 raise ValueError(f"bad range {token!r}")
+            lo, hi = _number(name, parts[0]), _number(name, parts[1])
+            step = parts[2] if len(parts) == 3 else "+1"
             if step.startswith("x"):
-                factor = int(step[1:])
+                factor = _number(name, step[1:])
                 if factor < 2 or lo < 1:
                     raise ValueError(f"bad geometric range {token!r}")
                 v = lo
@@ -119,7 +126,7 @@ def _parse_axis(text: str, name: str) -> list[int]:
                     points.append(v)
                     v *= factor
             else:
-                stride = int(step.lstrip("+"))
+                stride = _number(name, step.lstrip("+"))
                 if stride < 1:
                     raise ValueError(f"bad range stride {token!r}")
                 points.extend(range(lo, hi + 1, stride)[:AXIS_LIMIT + 1])
@@ -269,7 +276,8 @@ def _cmd_subfn(args) -> int:
     _need("analysis", "functions")
     f = _function_from_arg(args.function)
     check_table_size(f.n)        # before an order of f.n variables is built
-    cuts = range(2, f.n) if args.cut == "all" else [int(args.cut)]
+    cuts = (range(2, f.n) if args.cut == "all"
+            else [_number("--cut", args.cut)])
     if not set(cuts) <= set(range(2, f.n)):
         raise ValueError(f"cut must satisfy 1 < u < {f.n}")
     if args.order == "min":
@@ -277,7 +285,8 @@ def _cmd_subfn(args) -> int:
     elif args.order == "id":
         order = VariableOrder.identity(f.n)
     else:
-        order = VariableOrder(tuple(int(s) for s in args.order.split(",")))
+        order = VariableOrder(tuple(_number("--order", s)
+                                    for s in args.order.split(",")))
     profile = subfunction_profile(f, order)
     summary = (f"N = {value}" if args.order == "min"
                else f"N_theta = {profile.max_count}")

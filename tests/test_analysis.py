@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from kobdd import (Constants, FunctionOracle, VariableOrder,
                    n_min_by_enumeration, n_theta, optimal_order,
                    subfunction_profile, truth_table_function,
                    truth_table_of, xor_function)
+from kobdd import analysis
 from kobdd.analysis import _lattice_counts
 
 
@@ -176,7 +178,18 @@ def _n8_functions():
                                              for _ in range(1 << 8)]),
             constant_function(8, 1), xor_function(8), and_function(8),
             # a single variable: every restriction is constant
-            truth_table_function("x3", [(i >> 2) & 1 for i in range(1 << 8)])]
+            truth_table_function("x3", [(i >> 2) & 1 for i in range(1 << 8)]),
+            _mixed_function()]
+
+
+def _mixed_function():
+    """Random where x8 = 0 and AND-like where x8 = 1: the lattice ranks
+    its rows in all three ways (see test_lattice_ranks_mixed_rows)."""
+    rng = random.Random(83)
+    low = [rng.randint(0, 1) for _ in range(1 << 7)]
+    return truth_table_function("mixed8", [
+        low[i] if i < 1 << 7 else int(i == (1 << 8) - 1)
+        for i in range(1 << 8)])
 
 
 def _subset(mask: int, n: int) -> set[int]:
@@ -216,6 +229,76 @@ def test_refinement_matches_naive_counts_at_n10():
             assert count_subfunctions_at_cut(f, _subset(m, 10)) == naive
             if m.bit_count() >= 2:
                 assert lattice[m] == naive, (f.name, m)
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Record each _refine call's parent size, bounds and result, and the
+    size of each array np.sort sorts."""
+    calls, sorted_sizes = [], []
+    refine, sort = analysis._refine, np.sort
+
+    def spy_refine(parent, rows, p, *bound):
+        result = refine(parent, rows, p, *bound)
+        calls.append((parent.shape[1].bit_length() - 1, *bound, *result))
+        return result
+
+    def spy_sort(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "_refine", spy_refine)
+    monkeypatch.setattr(np, "sort", spy_sort)
+    return calls, sorted_sizes
+
+
+@pytest.mark.parametrize("f", [and_function(12), xor_function(12),
+                               constant_function(12, 0)],
+                         ids=["and", "xor", "constant"])
+def test_lattice_sorts_nothing_when_counts_stay_small(spied, f):
+    calls, sorted_sizes = spied
+    counts, size = _lattice_counts(truth_table_of(f), 12)
+    assert sorted_sizes == [] and calls
+    assert all(counts[size == s].max() <= 2 for s in range(2, 12))
+
+
+def test_lattice_sorts_only_rows_it_cannot_rank_otherwise(spied):
+    """A row is sorted only when its parent is neither saturated nor of a
+    small count, and no layer is built below the first saturated one."""
+    calls, sorted_sizes = spied
+    n, full = 12, (1 << 12) - 1
+    table = truth_table_of(_random_function(random.Random(79), n))
+    counts, size = _lattice_counts(table, n)
+    saturated = [s for s in range(2, n) if (counts[size == s] == 1 << s).all()]
+    top = max(saturated)
+    assert saturated == list(range(2, top + 1)) and top < n - 1
+    assert min(s for s, *_ in calls) == top + 1
+    want, kinds = 0, set()
+    for m in np.flatnonzero((size >= top) & (size < n)).tolist():
+        t = m.bit_count()                # a row of 2^t pairs
+        parent = m | (~m & (m + 1))
+        c = 2 if parent == full else counts[parent]
+        kind = ("saturated" if c == 1 << (t + 1) else
+                "small" if c * c <= 1 << t else "sorted")
+        kinds.add(kind)
+        want += (1 << t) * (kind == "sorted")
+    assert kinds == {"saturated", "small", "sorted"}
+    assert sum(sorted_sizes) == want
+
+
+def test_lattice_ranks_mixed_rows(spied):
+    """The n = 8 mixed function's lattice ranks rows in all three ways,
+    and every id stays below its row's count."""
+    calls, _ = spied
+    _lattice_counts(truth_table_of(_mixed_function()), 8)
+    kinds = set()
+    for s, bound, ids, counts in calls:
+        bound = np.asarray(bound)
+        kinds.update(np.where(bound == 1 << s, "saturated", np.where(
+            bound * bound <= 1 << (s - 1), "small", "sorted")).tolist())
+        assert (ids.max(axis=1) < counts).all()
+        assert [len(np.unique(row)) for row in ids] == counts.tolist()
+    assert kinds == {"saturated", "small", "sorted"}
 
 
 def test_n_min_matches_naive_bottleneck_dp_at_n8(naive_n8):

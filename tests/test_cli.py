@@ -438,6 +438,24 @@ def test_subfn_min_order_pinned_n14(tmp_path, capsys):
     assert err == "N = 1002\n"
 
 
+# n = 16, at the guard: the random table's lattice stops at its first
+# saturated layer, and and:16 ranks every row from a small parent count
+@pytest.mark.parametrize("function, name, order_text, counts", [
+    ("t16.tt", "t16", "15 16 11 10 9 8 7 5 4 3 2 1 13 12 6 14",
+     (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3935, 256, 16, 4)),
+    ("and:16", "and:16", "14 15 13 12 11 10 9 8 7 6 5 4 3 2 1 16",
+     (2,) * 14),
+])
+def test_subfn_min_order_pinned_n16(tmp_path, capsys, monkeypatch, function,
+                                    name, order_text, counts):
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(16)
+    (tmp_path / "t16.tt").write_text("".join(
+        "1" if rng.random() < 0.5 else "0" for _ in range(1 << 16)) + "\n")
+    assert _run(capsys, ["subfn", function, "--order", "min"]) == (
+        0, _pinned_csv(name, 16, order_text, counts), f"N = {max(counts)}\n")
+
+
 def _run_in_1gb(argv):
     """``python -m kobdd argv`` in a subprocess with 1 GB of address space."""
     def limit_memory():
@@ -465,7 +483,7 @@ def test_subfn_checks_n_before_building_an_order(order):
 @pytest.mark.parametrize("cut, message", [
     ("99", "cut must satisfy 1 < u < 16"),
     ("1", "cut must satisfy 1 < u < 16"),
-    ("x", "invalid literal for int() with base 10: 'x'"),
+    ("x", "--cut needs an integer, got 'x'"),
 ])
 def test_subfn_checks_cut_before_counting(capsys, monkeypatch, cut, message):
     def never(*args):
@@ -636,10 +654,23 @@ def test_bounds_all_chains(capsys):
     (["bounds", "all", "--d", "16"], "explicit axes need a single chain"),
     (["bounds", "hi-n", "--constants", "C5=1"],
      "bad constants token 'C5=1'; expected C=..., C1=..., C2=..., C3=..."),
-    (["subfn", "t.tt"], "t.tt: expected a 0/1 truth-table string")],
+    (["subfn", "t.tt"], "t.tt: expected a 0/1 truth-table string"),
+    # every number a flag takes names the flag and the token
+    (["bounds", "hi-n", "--w", "8,"], "--w needs an integer, got ''"),
+    (["bounds", "hi-n", "--w", "bad"], "--w needs an integer, got 'bad'"),
+    (["bounds", "hi-n", "--k", "2:x"], "--k needs an integer, got 'x'"),
+    (["bounds", "hi-n", "--w", "8:64:xq"], "--w needs an integer, got 'q'"),
+    (["bounds", "hi-n", "--w", "8:64:+q"], "--w needs an integer, got 'q'"),
+    (["bounds", "hi-q", "--d", "x:64"], "--d needs an integer, got 'x'"),
+    (["bounds", "hi-n", "--constants", "C=x"],
+     "--constants needs a number, got 'x'"),
+    (["subfn", "xor:4", "--order", "1,2,x"],
+     "--order needs an integer, got 'x'")],
     ids=["range", "geometric", "stride", "empty-range", "empty-w",
          "blank-w", "empty-k", "all-empty-k", "all-d", "constants",
-         "truth-table"])
+         "truth-table", "w-trailing-comma", "w-word", "k-range-end",
+         "w-factor", "w-stride", "d-range-start", "constants-value",
+         "order-token"])
 def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv,
                                    message):
     monkeypatch.chdir(tmp_path)
