@@ -28,9 +28,9 @@ _EXPORTS = {
         compile_to_quantum""",
     "functions": """FunctionOracle MXPJInstance SAFLayout adr_k adr_w
         and_function constant_function decode_mxpj encode_mxpj ind
-        mxpj_eval mxpj_function parse_function pj_eval random_saf_positive
-        saf_eval saf_function step_pair truth_table_function val
-        xor_function""",
+        mxpj_eval mxpj_function parse_descriptor parse_function pj_eval
+        random_saf_positive saf_eval saf_function step_pair
+        truth_table_function val xor_function""",
     "program": """Assignment Program ProgramFormatError SEMANTICS
         TransitionLevel ValidationReport VariableOrder
         all_assignments_array det_level deserialize load_program

@@ -176,44 +176,32 @@ def _predict_batch(p, xs: np.ndarray) -> np.ndarray:
 
 def _cmd_build(args) -> int:
     _need("constructions", "functions")
-    descriptor = args.descriptor
-    kind, _, rest = descriptor.partition(":")
-    parts = [s.strip() for s in rest.split(",")] if rest else []
-    if kind == "mxpj":
-        if len(parts) not in (2, 3):
-            raise ValueError("mxpj descriptor is mxpj:k,d with an optional "
-                             ",quantum ,nondet or ,prob suffix")
-        k, d = int(parts[0]), int(parts[1])
-        program = build_mxpj_id_obdd(k, d)
-        if len(parts) == 3:
-            compilers = {"quantum": compile_to_quantum,
-                         "nondet": compile_to_nondet,
-                         "prob": compile_to_prob}
-            if parts[2] not in compilers:
-                raise ValueError(f"unknown embedding {parts[2]!r}; choose "
-                                 "quantum, nondet or prob")
-            program = compilers[parts[2]](program)
-    elif kind == "saf":
-        if len(parts) != 3:
-            raise ValueError("saf descriptor is saf:k,w,n")
-        k, w, n = (int(s) for s in parts)
+    compilers = {"quantum": compile_to_quantum, "nondet": compile_to_nondet,
+                 "prob": compile_to_prob}
+
+    def saf(k: int, w: int, n: int):
         layout = SAFLayout(n=n, k=k, w=w)
         if not layout.regime_ok:
             _say(f"note: the address-capacity inequality 2kw(2w + address "
                  f"bits) < n fails ({layout.regime_bits} >= {n}); the "
                  "function is degenerate, but the program is well defined")
-        program = build_saf_2k_obdd(k, w, n)
-    else:
-        raise ValueError(f"unknown builder {kind!r}; use mxpj:k,d[,emb] "
-                         "or saf:k,w,n")
+        return build_saf_2k_obdd(k, w, n)
+
+    head, sep, suffix = args.descriptor.rpartition(",")
+    embed = compilers.get(suffix.strip()) if sep else None
+    program = parse_descriptor(head if embed else args.descriptor,
+                               {"mxpj": (2, build_mxpj_id_obdd),
+                                "saf": (3, saf)})
+    if embed:
+        program = embed(program)
     report = validate(program)
     if not report.ok:
         raise ValueError("built program failed validation: "
                          + "; ".join(report.violations))
-    text = serialize(program)   # before the summary: out of memory is one line
+    # the summary follows the text: a failed write leaves one error line
+    _emit(serialize(program), args.out, "\n")
     _say(f"{program.semantics} program: n={program.n} layers={program.k} "
          f"width={width(program)}")
-    _emit(text, args.out, "\n")
     return 0
 
 
@@ -390,7 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", parents=[shared],
                        help="construct a program from a descriptor")
     p.add_argument("descriptor",
-                   help="mxpj:k,d[,quantum|nondet|prob] or saf:k,w,n")
+                   help="mxpj:k,d or saf:k,w,n, with an optional "
+                        ",quantum, ,nondet or ,prob suffix")
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("eval", parents=[shared],

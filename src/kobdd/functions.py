@@ -447,6 +447,10 @@ class FunctionOracle:
     fn: Callable[[Assignment], int]
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be positive, got {self.n}")
+
     def __call__(self, x: Assignment) -> int:
         if len(x) != self.n:
             raise ValueError(f"input length {len(x)} != n = {self.n}")
@@ -506,8 +510,9 @@ def truth_table_function(name: str, values: Sequence[int]) -> FunctionOracle:
                           lambda xs: column[_lsb_values(xs)])
 
 
-def parse_function(descriptor: str) -> FunctionOracle:
-    """Build an oracle from a descriptor like "saf:2,2,57" or "xor:8"."""
+def parse_descriptor(descriptor: str, families: dict):
+    """``maker(p1, p2, ...)`` for "name:p1,p2,..." where ``families[name]``
+    is ``(arity, maker)``; every command reads descriptors here."""
     head, sep, tail = descriptor.partition(":")
     if not sep:
         raise ValueError(f"bad function descriptor {descriptor!r} "
@@ -516,15 +521,17 @@ def parse_function(descriptor: str) -> FunctionOracle:
         args = [int(s) for s in tail.split(",")] if tail else []
     except ValueError:
         raise ValueError(f"bad parameters in descriptor {descriptor!r}")
-    makers = {
-        "xor": (1, xor_function),
-        "and": (1, and_function),
-        "saf": (3, saf_function),
-        "mxpj": (2, mxpj_function),
-    }
-    if head not in makers:
-        raise ValueError(f"unknown function family {head!r}")
-    arity, maker = makers[head]
+    if head not in families:
+        raise ValueError(f"unknown function family {head!r}; choose from "
+                         f"{', '.join(sorted(families))}")
+    arity, maker = families[head]
     if len(args) != arity:
         raise ValueError(f"{head} takes {arity} parameters, got {len(args)}")
     return maker(*args)
+
+
+def parse_function(descriptor: str) -> FunctionOracle:
+    """Build an oracle from a descriptor like "saf:2,2,57" or "xor:8"."""
+    return parse_descriptor(descriptor, {
+        "xor": (1, xor_function), "and": (1, and_function),
+        "saf": (3, saf_function), "mxpj": (2, mxpj_function)})

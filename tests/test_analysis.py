@@ -500,6 +500,30 @@ def test_empirical_bound_check_mxpj():
         assert report.width == 4 and report.k == 1
 
 
+@pytest.mark.parametrize("c1, holds", [(8.0, True), (0.45, True),
+                                       (0.4, False)])
+def test_empirical_bound_check_at_a_fractional_base(monkeypatch, c1, holds):
+    """A width-3 prob program makes the bound's base fractional, so the
+    check compares logs; it must agree with the power taken in floats."""
+    from kobdd import Program, compile_to_prob, det_level
+    n = 6       # ones counted mod 3, accepting 0
+    levels = tuple(det_level(v, (1, 2, 3), (2, 3, 1), 3)
+                   for v in range(1, n + 1))
+    p = compile_to_prob(Program(
+        semantics="deterministic", n=n, k=1, order=VariableOrder.identity(n),
+        levels=levels, initial=1, accept=frozenset({1})))
+    f = truth_table_function("mod3", [int(i.bit_count() % 3 == 0)
+                                      for i in range(1 << n)])
+    constants = Constants(c1=c1)
+    monkeypatch.setattr(analysis, "DEFAULT_CONSTANTS", constants)
+    report = empirical_bound_check(p, f)
+    base = c1 * (constants.c2 + math.log2(3))       # k = 1, w = 3
+    assert base != int(base)
+    assert (report.model, report.width, report.n_subfunctions) == \
+        ("prob", 3, 3)
+    assert report.holds == (3 <= base ** (2 * 3 * 3)) == holds
+
+
 def test_empirical_bound_check_trivial_program():
     from kobdd import Program, det_level
     levels = tuple(det_level(v, (1,), (1,), 1) for v in (1, 2, 3))

@@ -77,6 +77,78 @@ def test_build_rejections(capsys):
         assert "error" in err
 
 
+# one reader of "family:params" for every command; build also strips an
+# embedding suffix first, and the other commands read a name without a
+# colon as a truth-table file
+@pytest.mark.parametrize("command", ["build", "check-equiv", "subfn"])
+@pytest.mark.parametrize("descriptor, message", [
+    ("mxpj:1,x", "bad parameters in descriptor 'mxpj:1,x'"),
+    ("saf:2,x,57", "bad parameters in descriptor 'saf:2,x,57'"),
+    ("mxpj:1,2,magic", "bad parameters in descriptor 'mxpj:1,2,magic'"),
+    ("mxpj:1", "mxpj takes 2 parameters, got 1"),
+    ("saf:2,2,57,9", "saf takes 3 parameters, got 4"),
+    ("foo:1,2", "unknown function family 'foo'; choose from {}")])
+def test_every_command_reads_descriptors_alike(tmp_path, capsys, command,
+                                               descriptor, message):
+    prog = str(tmp_path / "p.json")
+    _run(capsys, ["build", "mxpj:1,2", "-o", prog])
+    argv = ([command, prog, descriptor] if command == "check-equiv"
+            else [command, descriptor])
+    families = "mxpj, saf" if command == "build" else "and, mxpj, saf, xor"
+    assert _run(capsys, argv) == (2, "",
+                                  f"error: {message.format(families)}\n")
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ("mxpj", "bad function descriptor 'mxpj' (expected name:params)"),
+    ("saf:2,2,quantum", "saf takes 3 parameters, got 2"),
+    ("mxpj:1,x,prob", "bad parameters in descriptor 'mxpj:1,x'"),
+    ("quantum", "bad function descriptor 'quantum' (expected name:params)"),
+])
+def test_build_reads_the_descriptor_left_of_an_embedding(capsys, descriptor,
+                                                         message):
+    assert _run(capsys, ["build", descriptor]) == (2, "",
+                                                   f"error: {message}\n")
+
+
+@pytest.mark.parametrize("emb", ["nondet", "prob"])
+def test_build_embeds_saf_programs(tmp_path, capsys, emb):
+    path = str(tmp_path / "s.json")
+    code, _, err = _run(capsys, ["build", f"saf:2,2,57,{emb}", "-o", path])
+    p = load_program(path)
+    assert code == 0 and err == (f"{p.semantics} program: n=57 layers=4 "
+                                 f"width={width(p)}\n")
+    assert _run(capsys, ["check-equiv", path, "saf:2,2,57", "--mode",
+                         "sample", "--samples", "2000", "--seed", "3"]) \
+        == (0, "2000 checked, 0 mismatches\n", "")
+
+
+def test_build_saf_quantum_is_not_reversible(capsys):
+    with pytest.raises(constructions.NonReversibleError) as raised:
+        constructions.compile_to_quantum(
+            constructions.build_saf_2k_obdd(2, 2, 57))
+    assert _run(capsys, ["build", "saf:2,2,57,quantum"]) == (
+        2, "", f"error: {raised.value}\n")
+
+
+def test_build_prints_no_summary_before_a_failed_write(tmp_path, capsys):
+    path = tmp_path / "missing" / "p.json"
+    assert _run(capsys, ["build", "mxpj:1,2", "-o", str(path)]) == (
+        2, "", f"error: [Errno 2] No such file or directory: '{path}'\n")
+
+
+@pytest.mark.parametrize("function, n", [("xor:0", 0), ("and:-4", -4)])
+@pytest.mark.parametrize("command", ["check-equiv", "subfn"])
+def test_family_sizes_below_one_are_rejected(tmp_path, capsys, command,
+                                             function, n):
+    prog = str(tmp_path / "p.json")
+    _run(capsys, ["build", "mxpj:1,2", "-o", prog])
+    argv = ([command, prog, function] if command == "check-equiv"
+            else [command, function])
+    assert _run(capsys, argv) == (2, "", f"error: n must be positive, "
+                                         f"got {n}\n")
+
+
 def test_build_saf_notes_regime_violation(tmp_path, capsys):
     path = str(tmp_path / "s.json")
     code, _, err = _run(capsys, ["build", "saf:3,4,300", "-o", path])
@@ -153,6 +225,24 @@ def test_validate_command(tmp_path, capsys):
     broken.write_text(json.dumps(doc))
     code, out, _ = _run(capsys, ["validate", str(broken)])
     assert code == 2 and "invalid:" in out
+
+
+@pytest.mark.parametrize("edit, report", [
+    (lambda doc: doc.update(order=[1, 2, 3]),
+     "invalid: order has 3 entries, n = 4\n"),
+    (lambda doc: doc["levels"][1].update(var=1),
+     "invalid: layer 1 does not test each variable once\n"),
+    (lambda doc: doc["levels"][3].update(var=9),
+     "invalid: layer 1 does not test each variable once\n"
+     "invalid: levels[3]: variable 9 out of range\n"),
+], ids=["short-order", "variable-twice", "variable-9"])
+def test_validate_reports_order_faults(tmp_path, capsys, edit, report):
+    path = tmp_path / "p.json"
+    _run(capsys, ["build", "mxpj:1,2", "-o", str(path)])
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert _run(capsys, ["validate", str(path)]) == (2, report, "")
 
 
 def test_validate_deeply_nested_document(tmp_path, capsys):

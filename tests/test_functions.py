@@ -9,11 +9,11 @@ import pytest
 
 from conftest import mxpj_trace, saf_ref_eval, saf_reference
 from kobdd import (Assignment, MXPJInstance, SAFLayout, adr_k, adr_w,
-                   all_assignments_array, constant_function, decode_mxpj,
-                   encode_mxpj, ind, mxpj_eval, mxpj_function,
-                   parse_function, pj_eval, random_saf_positive, saf_eval,
-                   saf_function, step_pair, truth_table_function, val,
-                   xor_function)
+                   all_assignments_array, and_function, constant_function,
+                   decode_mxpj, encode_mxpj, ind, mxpj_eval, mxpj_function,
+                   parse_descriptor, parse_function, pj_eval,
+                   random_saf_positive, saf_eval, saf_function, step_pair,
+                   truth_table_function, val, xor_function)
 from kobdd.program import SWEEP_CHUNK, sweep_rows
 
 
@@ -235,6 +235,30 @@ def test_parse_function_descriptors():
     for bad in ("mxpj:1", "saf:2,2", "xor:a", "nope:3", "xor"):
         with pytest.raises(ValueError):
             parse_function(bad)
+
+
+def test_parse_descriptor_reads_any_family_table():
+    families = {"pair": (2, lambda a, b: (a, b)), "one": (1, lambda a: a)}
+    assert parse_descriptor("pair: 1,-2", families) == (1, -2)
+    assert parse_descriptor("one:7", families) == 7
+    for bad, message in [
+            ("pair", "bad function descriptor 'pair' (expected name:params)"),
+            ("pair:1,x", "bad parameters in descriptor 'pair:1,x'"),
+            ("pair:", "pair takes 2 parameters, got 0"),
+            ("one:1,2", "one takes 1 parameters, got 2"),
+            ("two:1", "unknown function family 'two'; choose from one, pair")]:
+        with pytest.raises(ValueError) as raised:
+            parse_descriptor(bad, families)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("make", [xor_function, and_function,
+                                  lambda n: constant_function(n, 1)])
+def test_oracles_need_a_variable(make):
+    assert make(1).n == 1
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=f"n must be positive, got {n}"):
+            make(n)
 
 
 def test_truth_table_function():
