@@ -25,6 +25,7 @@ import csv
 import importlib
 import io
 import itertools
+import os
 import sys
 from pathlib import Path
 
@@ -145,7 +146,10 @@ def _load_bits(arg: str) -> Assignment:
 
 
 def _function_from_arg(arg: str):
-    if not arg or ":" in arg:      # '' is a bad descriptor, not a path
+    """An existing file (its path may hold a ':') as a truth table, any
+    other argument, '' and a name too long for a path among them, as a
+    descriptor: os.path.isfile is False on any OSError."""
+    if not os.path.isfile(arg):
         return parse_function(arg)
     text = Path(arg).read_text().strip()
     if not text or set(text) - {"0", "1"}:

@@ -11,17 +11,17 @@ the variable it tests and applies the matching transition:
                    of the amplitudes on the accepting sinks
 
 One kernel runs all four over an (m, n) matrix of assignments, one row
-per input; a scalar call is a batch of one.  A row stays one node index
-through every level whose branches are successor tuples, which every
-0/1 function branch is in any semantics, and becomes a dense vector only
-at the first level that is not.
+per input.  A row stays one node index through every level whose
+branches are successor tuples, which every 0/1 function branch is in any
+semantics, and becomes a dense vector only at the first level that is
+not.  A scalar call on a program whose every level is such a pair, which
+every built program is, follows one node in plain Python and never
+imports numpy; on any other program it is a batch of one.
 """
 
 from __future__ import annotations
 
 from functools import partial
-
-import numpy as np
 
 from .program import (Assignment, Program, _memo, all_assignments_array,
                       as_rows, sweep_rows)
@@ -32,15 +32,23 @@ _PROB = ("probabilistic", "quantum")
 _SLACK = 1e-9
 
 
-def _bits_of(x: Assignment | str | tuple | list) -> np.ndarray:
-    """One input as a one-row matrix, for :func:`as_rows` to check."""
+def _bits_of(x: Assignment | str | tuple | list) -> tuple:
+    """One input's bits, unchecked: a string read as 0/1, an Assignment's
+    bits, any other sequence as a tuple."""
     if isinstance(x, str):
         x = Assignment.from_string(x)
-    return np.array([x.bits if isinstance(x, Assignment) else tuple(x)])
+    return x.bits if isinstance(x, Assignment) else tuple(x)
+
+
+def _check_semantics(p: Program, caller: str,
+                     semantics: tuple[str, ...]) -> None:
+    if p.semantics not in semantics:
+        raise ValueError(f"{caller} on a {p.semantics} program")
 
 
 def _successors(semantics: str, t):
     """A tuple (any 0/1 function), or any det branch, as 0-based successors."""
+    import numpy as np
     if isinstance(t, tuple) or semantics == "deterministic":
         return np.array(t, dtype=np.intp) - 1
     return None
@@ -49,6 +57,7 @@ def _successors(semantics: str, t):
 def _dense(semantics: str, t, width_in: int, width_out: int) -> np.ndarray:
     """Branch t as a (width_in, width_out) ``state @ op`` matrix: a matrix
     transposed, else 0/1 (one-hot for a tuple), complex under quantum."""
+    import numpy as np
     if isinstance(t, np.ndarray):
         return t.T
     op = np.zeros((width_in, width_out),
@@ -61,6 +70,7 @@ def _dense(semantics: str, t, width_in: int, width_out: int) -> np.ndarray:
 
 def _is_identity(lvl, tab) -> bool:
     """True iff a level's successor table sends every node to itself."""
+    import numpy as np
     return (lvl.width_in == lvl.width_out
             and (tab == np.arange(lvl.width_in)).all())
 
@@ -79,6 +89,7 @@ def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
     The list is kept in the instance dict, as functools.cached_property
     does; Program and its levels are frozen, so it never goes stale.
     """
+    import numpy as np
     levels = p.__dict__.get("_kernel_levels")
     if levels is None:
         def once(make):     # p holds every transition, so ids stay unique
@@ -121,8 +132,8 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
     give the same bits.  Deterministic rows never leave the node form;
     a trace of any other semantics starts dense.
     """
-    if p.semantics not in semantics:
-        raise ValueError(f"{caller} on a {p.semantics} program")
+    import numpy as np
+    _check_semantics(p, caller, semantics)
     # one contiguous 0/1 row per variable; a gather needs integer bits
     bits = np.ascontiguousarray(as_rows(xs, p.n).T)
     det = p.semantics == "deterministic"
@@ -166,9 +177,48 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
     return (prob > 0).astype(np.uint8) if nondet else prob
 
 
+def _walk_levels(p: Program) -> tuple[tuple[int, tuple, tuple], ...] | None:
+    """(0-based variable, t0, t1) per level if every level's two branches
+    are successor tuples, else None; kept in the instance dict, as
+    :func:`_compiled` keeps its list."""
+    levels = p.__dict__.get("_walk_levels", False)
+    if levels is False:
+        levels = p.__dict__["_walk_levels"] = (
+            tuple((lvl.variable - 1, lvl.t0, lvl.t1) for lvl in p.levels)
+            if all(isinstance(lvl.t0, tuple) and isinstance(lvl.t1, tuple)
+                   for lvl in p.levels) else None)
+    return levels
+
+
+def _scalar(p: Program, x, caller: str, semantics: tuple[str, ...]):
+    """One input's accept bit (det, nondet) as an int, or its acceptance
+    probability (prob, quantum) as a float.
+
+    On a program of successor tuples a single node walks the levels: the
+    input is checked as :func:`as_rows` checks a row, with its messages
+    in its order, and no array is made.  Any other program runs through
+    :func:`_kernel` as a batch of one.
+    """
+    bits = _bits_of(x)
+    _check_semantics(p, caller, semantics)
+    levels = _walk_levels(p)
+    if levels is None:
+        import numpy as np
+        hit = _kernel(p, np.array([bits]), caller, semantics)[0]
+    else:
+        if len(bits) != p.n:
+            raise ValueError(f"input length {len(bits)} != n = {p.n}")
+        Assignment(bits)        # raises unless every bit is 0 or 1
+        node = p.initial
+        for var, t0, t1 in levels:
+            node = (t1 if bits[var] else t0)[node - 1]
+        hit = node in p.accept
+    return float(hit) if p.semantics in _PROB else int(hit)
+
+
 def eval_det(p: Program, x) -> int:
     """Run a deterministic program; return 1 iff the reached sink accepts."""
-    return int(_kernel(p, _bits_of(x), "eval_det", _DET)[0])
+    return _scalar(p, x, "eval_det", _DET)
 
 
 def eval_det_batch(p: Program, xs: np.ndarray) -> np.ndarray:
@@ -181,7 +231,7 @@ def eval_det_batch(p: Program, xs: np.ndarray) -> np.ndarray:
 
 def eval_nondet(p: Program, x) -> int:
     """Return 1 iff some path through chosen edges reaches an accepting sink."""
-    return int(_kernel(p, _bits_of(x), "eval_nondet", _NONDET)[0])
+    return _scalar(p, x, "eval_nondet", _NONDET)
 
 
 def eval_nondet_batch(p: Program, xs: np.ndarray) -> np.ndarray:
@@ -191,7 +241,7 @@ def eval_nondet_batch(p: Program, xs: np.ndarray) -> np.ndarray:
 
 def accept_prob(p: Program, x) -> float:
     """Acceptance probability of one input (probabilistic or quantum)."""
-    return float(_kernel(p, _bits_of(x), "accept_prob", _PROB)[0])
+    return _scalar(p, x, "accept_prob", _PROB)
 
 
 def accept_prob_batch(p: Program, xs: np.ndarray) -> np.ndarray:
@@ -205,14 +255,15 @@ def state_trace(p: Program, x) -> list[np.ndarray]:
     Useful for checking conservation step by step: probability mass for
     stochastic programs, Euclidean norm for quantum ones.
     """
-    states = _kernel(p, _bits_of(x), "state_trace", _PROB, trace=True)
+    import numpy as np
+    states = _kernel(p, np.array([_bits_of(x)]), "state_trace", _PROB,
+                     trace=True)
     return [s[0] for s in states]
 
 
 def evaluate(p: Program, x):
     """0/1 for det/nondet programs, an acceptance probability otherwise."""
-    out = _kernel(p, _bits_of(x), "evaluate", (p.semantics,))[0]
-    return float(out) if p.semantics in _PROB else int(out)
+    return _scalar(p, x, "evaluate", (p.semantics,))
 
 
 def computes_bounded_error(p: Program, f, epsilon: float) -> bool:
@@ -225,6 +276,7 @@ def computes_bounded_error(p: Program, f, epsilon: float) -> bool:
     feasible for n <= program.EXHAUSTIVE_LIMIT; all_assignments_array
     refuses larger n.
     """
+    import numpy as np
     if p.semantics not in _PROB:
         raise ValueError("bounded error is about probability semantics")
     if not 0.0 < epsilon <= 0.5:

@@ -78,8 +78,8 @@ def test_build_rejections(capsys):
 
 
 # one reader of "family:params" for every command; build also strips an
-# embedding suffix first, and the other commands read a name without a
-# colon as a truth-table file
+# embedding suffix first, and the other commands read an existing file as
+# a truth table
 @pytest.mark.parametrize("command", ["build", "check-equiv", "subfn"])
 @pytest.mark.parametrize("descriptor, message", [
     ("mxpj:1,x", "bad parameters in descriptor 'mxpj:1,x'"),
@@ -730,6 +730,25 @@ def test_bounds_all_chains(capsys):
         assert f"{chain}," in out
     code, _, _ = _run(capsys, ["bounds", "all", "--k", "2"])
     assert code == 2   # explicit axes need a single chain
+
+
+def test_an_existing_file_is_a_truth_table_even_with_a_colon(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run(capsys, ["build", "mxpj:1,2", "-o", "p.json"])
+    (tmp_path / "x:y.tt").write_text("0000101001011111\n")   # mxpj:1,2
+    for arg in ("x:y.tt", "./x:y.tt"):
+        assert _run(capsys, ["subfn", arg, "--cut", "2"]) == (
+            0, "function,n,order,cut,count\nx:y,4,1 2 3 4,2,2\n",
+            "N_theta = 3\n")
+    assert _run(capsys, ["check-equiv", "p.json", "./x:y.tt"]) == (
+        0, "16 checked, 0 mismatches\n", "")
+    # no file by that name, or too long a name for a file: a descriptor
+    code, out, _ = _run(capsys, ["subfn", "mxpj:1,4", "--cut", "2"])
+    assert code == 0 and out.splitlines()[1].startswith('"mxpj:1,4",16,')
+    long = "xor:" + "0" * 300 + "4"
+    assert _run(capsys, ["subfn", long, "--cut", "2"])[:2] == (
+        0, "function,n,order,cut,count\nxor:4,4,1 2 3 4,2,2\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -54,6 +54,13 @@ def files(tmp_path_factory):
         assert cli.main(["build", f"mxpj:1,2{suffix}", "-o",
                          str(root / f"{emb}.json")]) == 0
     (root / "tt.txt").write_text("0110100110010110")
+    # x1 = 1 moves node 1 to node 2 with probability 3/4: a dense level
+    (root / "dense.json").write_text(json.dumps({
+        "format": "kobdd-program-v1", "semantics": "probabilistic", "n": 1,
+        "k": 1, "order": [1], "initial": 1, "accept": [2], "epsilon": 0.25,
+        "levels": [{"var": 1, "width_in": 2, "width_out": 2,
+                    "t0": ["1.0", "0.0", "0.0", "1.0"],
+                    "t1": ["0.25", "0.5", "0.75", "0.5"]}]}))
     doc = json.loads((root / "det.json").read_text())
     doc["levels"][3]["t1"][0] = 9
     (root / "bad.json").write_text(json.dumps(doc, indent=1,
@@ -68,7 +75,7 @@ def files(tmp_path_factory):
     (["validate", "quantum.json"], []),
     (["build", "mxpj:1,2,nondet"], ["constructions", "functions"]),
     (["build", "saf:2,2,57"], ["constructions", "functions"]),
-    (["eval", "prob.json", "1001"], ["semantics", "numpy"]),
+    (["eval", "prob.json", "1001"], ["semantics"]),
     (["check-equiv", "nondet.json", "mxpj:1,2"],
      ["functions", "semantics", "numpy"]),
     (["subfn", "tt.txt", "--order", "min"], ["analysis", "functions", "numpy"]),
@@ -79,7 +86,10 @@ def files(tmp_path_factory):
     (["validate", "det.json"], []),
     (["validate", "nondet.json"], []),
     (["validate", "prob.json"], []),
-    (["eval", "det.json", "1001"], ["semantics", "numpy"]),
+    (["eval", "det.json", "1001"], ["semantics"]),
+    (["eval", "nondet.json", "1001"], ["semantics"]),
+    (["eval", "quantum.json", "1001"], ["semantics"]),
+    (["eval", "dense.json", "1"], ["semantics", "numpy"]),
 ])
 def test_each_command_loads_only_its_modules(files, argv, modules):
     proc = _python(_LOADED, *argv, cwd=files)
@@ -88,6 +98,12 @@ def test_each_command_loads_only_its_modules(files, argv, modules):
     assert code == 0
     assert loaded == sorted(["kobdd", "kobdd.cli", "kobdd.program"] + [
         m if m == "numpy" else f"kobdd.{m}" for m in modules])
+
+
+def test_eval_runs_a_dense_level_through_the_kernel(files, capsys):
+    for bits, out in (("1", "0.750000000\n"), ("0", "0.000000000\n")):
+        assert cli.main(["eval", str(files / "dense.json"), bits]) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_a_malformed_det_document_is_rejected_without_numpy(files):
@@ -99,9 +115,10 @@ def test_a_malformed_det_document_is_rejected_without_numpy(files):
         "outside 1..4\n"]
 
 
-def test_importing_every_module_but_semantics_loads_no_numpy():
+def test_importing_every_module_loads_no_numpy():
     proc = _python("import sys, kobdd.program, kobdd.functions, "
-                   "kobdd.constructions, kobdd.analysis, kobdd.cli; "
+                   "kobdd.constructions, kobdd.analysis, kobdd.semantics, "
+                   "kobdd.cli; "
                    "print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"

@@ -15,11 +15,11 @@ from conftest import (det_by_hand, nondet_by_paths, one_hot, prob_by_hand,
                       random_reversible_det_program, random_unitary)
 from kobdd import (Assignment, Program, VariableOrder, accept_prob,
                    accept_prob_batch, all_assignments_array,
-                   build_mxpj_id_obdd, compile_to_nondet, compile_to_prob,
-                   compile_to_quantum, computes_bounded_error, det_level,
-                   eval_det, eval_det_batch, eval_nondet, eval_nondet_batch,
-                   evaluate, matrix_level, nondet_level, state_trace,
-                   validate)
+                   build_mxpj_id_obdd, build_saf_2k_obdd, compile_to_nondet,
+                   compile_to_prob, compile_to_quantum, computes_bounded_error,
+                   det_level, eval_det, eval_det_batch, eval_nondet,
+                   eval_nondet_batch, evaluate, matrix_level, nondet_level,
+                   state_trace, validate)
 
 
 def _xor_program() -> Program:
@@ -683,3 +683,103 @@ def test_table_levels_make_dense_operators_only_for_dense_rows(monkeypatch):
         assert kernel._kernel(p, xs, "test", (semantics,)).tobytes() == want
         assert len(states) == len(p.levels) + 1
         made.clear()
+
+
+# ---------------------------------------------------------------------------
+# the scalar walk of successor-tuple programs against the batch kernel
+
+
+_SCALAR = {"deterministic": (kernel.eval_det, "eval_det", ("deterministic",)),
+           "nondeterministic": (kernel.eval_nondet, "eval_nondet",
+                                ("nondeterministic",)),
+           "probabilistic": (kernel.accept_prob, "accept_prob",
+                             ("probabilistic", "quantum")),
+           "quantum": (kernel.accept_prob, "accept_prob",
+                       ("probabilistic", "quantum"))}
+
+
+def _scalar_matches_kernel(p: Program, xs: np.ndarray) -> None:
+    run = _SCALAR[p.semantics][0]
+    want = kernel._kernel(p, xs, "test", (p.semantics,)).tolist()
+    kind = float if p.semantics in ("probabilistic", "quantum") else int
+    for row, w in zip(xs.tolist(), want):
+        for got in (run(p, tuple(row)), evaluate(p, row)):
+            assert type(got) is kind and got == w
+
+
+@pytest.mark.parametrize("semantics", list(_EMBED))
+def test_scalar_walk_matches_the_kernel_on_mxpj(semantics):
+    small = _EMBED[semantics](build_mxpj_id_obdd(1, 4))
+    _scalar_matches_kernel(small, all_assignments_array(small.n))
+    wide = _EMBED[semantics](build_mxpj_id_obdd(2, 8))
+    _scalar_matches_kernel(wide, np.random.default_rng(24).integers(
+        0, 2, (2000, wide.n), dtype=np.uint8))
+
+
+@pytest.mark.parametrize("semantics", ["deterministic", "nondeterministic",
+                                       "probabilistic"])
+def test_scalar_walk_matches_the_kernel_on_saf(semantics):
+    p = _EMBED[semantics](build_saf_2k_obdd(2, 2, 57))
+    _scalar_matches_kernel(p, np.random.default_rng(57).integers(
+        0, 2, (2000, p.n), dtype=np.uint8))
+
+
+def _spied(monkeypatch) -> list:
+    calls, real = [], kernel._kernel
+    monkeypatch.setattr(kernel, "_kernel", lambda *args, **kwargs:
+                        calls.append(args[2]) or real(*args, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("semantics", list(_EMBED))
+def test_only_a_program_with_a_non_tuple_level_reaches_the_kernel(
+        monkeypatch, semantics):
+    p = _EMBED[semantics](build_mxpj_id_obdd(1, 2))
+    levels = list(p.levels)
+    mid = len(levels) // 2
+    if semantics == "deterministic":    # a det branch that is not a tuple
+        levels[mid] = dataclasses.replace(levels[mid],
+                                          t0=list(levels[mid].t0))
+    else:
+        levels[mid] = dataclasses.replace(levels[mid], t0=_random_branch(
+            semantics, np.random.default_rng(3), levels[mid].width_in))
+    q = dataclasses.replace(p, levels=tuple(levels))
+    calls = _spied(monkeypatch)
+    run, caller, _ = _SCALAR[semantics]
+    for m in range(1 << p.n):
+        x = Assignment.from_int(m, p.n)
+        run(p, x), evaluate(p, x)
+    assert calls == []
+    for m in range(1 << q.n):
+        x = Assignment.from_int(m, q.n)
+        run(q, x), evaluate(q, x)
+    assert calls == [caller, "evaluate"] * (1 << q.n)
+
+
+def _batch_of_one(p: Program, x, caller: str, semantics: tuple):
+    """A scalar call as one row of the batch kernel."""
+    if isinstance(x, str):
+        x = Assignment.from_string(x)
+    bits = x.bits if isinstance(x, Assignment) else tuple(x)
+    return kernel._kernel(p, np.array([bits]), caller, semantics)[0]
+
+
+def _message(run, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        run(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("x", [(1, 2), (0, 2, 1), (0, 1, 0, 1, 1),
+                               [0.5, 0, 0, 0], (0, 1, 0, -1), "01a1", "",
+                               Assignment((1,))])
+def test_scalar_walk_rejects_inputs_as_the_kernel_does(x):
+    det = build_mxpj_id_obdd(1, 2)
+    assert det.n == 4
+    for semantics, embed in _EMBED.items():
+        p = embed(det)
+        for run, caller, accepted in _SCALAR.values():
+            assert _message(run, p, x) == _message(_batch_of_one, p, x,
+                                                   caller, accepted)
+        assert _message(evaluate, p, x) == _message(
+            _batch_of_one, p, x, "evaluate", (semantics,))
