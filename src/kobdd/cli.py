@@ -241,6 +241,9 @@ def _cmd_check_equiv(args) -> int:
     else:
         if args.samples < 1:
             raise ValueError("--samples must be at least 1")
+        if args.seed < 0:
+            raise ValueError(f"--seed needs a non-negative integer, "
+                             f"got '{args.seed}'")
         total = args.samples
         rng = np.random.Generator(np.random.PCG64(args.seed))
     mismatches = 0
@@ -433,6 +436,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # One OpenBLAS thread unless the caller chose: a command's matrices are
+    # small, and the worker thread's spin after numpy loads slows the main
+    # thread on a host whose vCPUs share a core.  Too late once numpy is in.
+    if "numpy" not in sys.modules and not (
+            {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

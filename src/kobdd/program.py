@@ -44,18 +44,23 @@ Matrices are flattened row-major; real entries are decimal strings and
 complex entries are {"re": str, "im": str} objects, both produced with
 ``repr`` so that a round trip through the file is bit-exact.
 
-:func:`serialize` writes exactly ``json.dumps(doc, indent=1,
-sort_keys=True)``, rendering each distinct transition once.
+:func:`serialize` writes exactly ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"))``, compact canonical JSON, rendering each distinct
+transition once.  A complex entry takes about 24 bytes, half of what the
+indented layout (``indent=1``) of earlier versions took: the
+``mxpj:2,8,quantum`` file is 37.8 MB instead of 75.5 MB.
 :func:`deserialize` has two reads.  They share every decoder (header,
 level, transition, matrix entry) and differ only in how they cut the
 text.  A text in the writer's layout (a file is mapped, not read) is cut
 into levels in one pass at the writer's fixed punctuation, and each piece
-goes to ``json.loads``: the header once (it must re-dump to its own
-text), each distinct transition once (equal ones share the result); a
-matrix body that is exactly the writer's one-hot text of a successor
-tuple is that tuple, unparsed.  Any other text, and any text with an
+goes to ``json.loads``: the header once (it must re-dump to its own text
+and hold the writer's keys alone), each distinct transition once (equal
+ones share the result); a matrix body that is exactly the writer's
+one-hot text of a successor tuple is that tuple, unparsed.  Any other
+text, an indented file of an earlier version too, and any text with an
 error, is parsed whole by ``json.loads``, and that read alone words
-every error.
+every error.  It is correct but slow and large on a big file; rebuilding
+such a file with ``build`` puts it in the writer's layout.
 :func:`validate` checks each distinct transition once.
 """
 
@@ -525,20 +530,18 @@ def validate(p: Program) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # serialization
 #
-# serialize() writes the text of json.dumps(doc, indent=1, sort_keys=True).
-# Any indent sends json.dumps to its pure-Python encoder, so only the small
-# header goes through it; each distinct transition is one str.join at its
-# fixed depth, and the document is one join of the pieces.
+# serialize() writes the text of _DUMP(doc), but only the small header
+# goes through it; each distinct transition is one str.join, and the
+# document is one join of the pieces.
 
-_CELL = '{\n     "im": %s,\n     "re": %s\n    }'
-#: A transition's text before its first item, between two and after its last.
-_LIST = ("[\n    ", ",\n    ", "\n   ]")
+_CELL = '{"im":%s,"re":%s}'
 #: The texts of a one-hot matrix's 0 and 1 entries, of equal length.
 _ONE_HOT = {"probabilistic": ('"0.0"', '"1.0"'),
             "quantum": (_CELL % ('"0.0"', '"0.0"'), _CELL % ('"0.0"', '"1.0"'))}
 #: The text before, between and after the five fields of a level.
-_LEVEL = ('  {\n   "t0": ', ',\n   "t1": ', ',\n   "var": ',
-          ',\n   "width_in": ', ',\n   "width_out": ', '\n  }')
+_LEVEL = ('{"t0":', ',"t1":', ',"var":', ',"width_in":', ',"width_out":', '}')
+#: The writer's json.dumps: compact canonical JSON.
+_DUMP = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
 def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
@@ -546,7 +549,7 @@ def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
         return [str(s) for s in t]
     if semantics == "nondeterministic":
         edges = enumerate(t, 1) if isinstance(t, tuple) else sorted(t)
-        return [f"[\n     {s},\n     {d}\n    ]" for s, d in edges]
+        return [f"[{s},{d}]" for s, d in edges]
     if isinstance(t, tuple):    # one-hot: column c holds its 1 in row t[c]
         zero, one = _ONE_HOT[semantics]
         text = [zero] * (width_out * len(t))
@@ -568,12 +571,12 @@ def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
 
 
 def _encode_list(entries: list[str]) -> str:
-    return _LIST[0] + _LIST[1].join(entries) + _LIST[2] if entries else "[]"
+    return "[" + ",".join(entries) + "]"
 
 
 def serialize(p: Program) -> str:
     """Encode a program as a JSON document; see the module docstring."""
-    head = json.dumps({
+    head = _DUMP({
         "format": FORMAT_TAG,
         "semantics": p.semantics,
         "n": p.n,
@@ -583,21 +586,20 @@ def serialize(p: Program) -> str:
         "accept": sorted(p.accept),
         "epsilon": p.epsilon,
         "levels": None,
-    }, indent=1, sort_keys=True)
-    before, _, after = head.partition('"levels": null')
-    if not p.levels:
-        return before + '"levels": []' + after
+    })
+    before, _, after = head.partition('"levels":null')
     # one text per distinct matrix, or per object, and width_out (a
     # tuple's one-hot height): (True, 2) == (1, 2)
     body = _memo(_branch_key,
                  lambda t, w: _encode_list(_entries(t, p.semantics, w)))
-    pieces = [before, '"levels": [\n']
+    pieces = [before, '"levels":[']
     for l in p.levels:
         fields = (body(l.t0, l.width_out), body(l.t1, l.width_out),
                   l.variable, l.width_in, l.width_out)
-        pieces += chain(*zip(_LEVEL, map(str, fields)), (_LEVEL[-1], ",\n"))
-    pieces[-1] = "\n ]"
-    return "".join(pieces + [after])
+        pieces += chain(*zip(_LEVEL, map(str, fields)), (_LEVEL[-1], ","))
+    if p.levels:
+        pieces.pop()
+    return "".join(pieces + ["]", after])
 
 
 def _want(doc: dict, key: str, kind: type, where: str) -> Any:
@@ -738,7 +740,12 @@ def _decode_level(rl: Any, where: str, semantics: str,
 # for a given text, so a text read this way decodes as json.loads of the
 # whole text would decode it.
 
-_LEVELS = '\n "levels": [\n'
+_LEVELS = ',"levels":['
+#: The header's keys, as the writer puts them.  A compact text has no
+#: indent to tell a key's depth, but no value of these holds an object, so
+#: the "levels" cut at is the top-level one.
+_HEAD = {"accept", "epsilon", "format", "initial", "k", "levels", "n",
+         "order", "semantics"}
 
 
 def _one_hot(body: str, semantics: str, width_in: int,
@@ -747,10 +754,9 @@ def _one_hot(body: str, semantics: str, width_in: int,
     of t, else None; never raises.  0 and 1 cells are equally long, so a
     "1.0" places its cell by its offset; t's text must then equal body."""
     one = _ONE_HOT[semantics][1]
-    first, sep, last = _LIST                        # as _encode_list puts
-    stride, at = len(one) + len(sep), len(first) + one.index('"1.0"')
-    if len(body) != width_in * width_out * stride - len(sep) + len(
-            first + last):
+    # "[" cell "," ... "," cell "]", as _encode_list puts
+    stride, at = len(one) + 1, 1 + one.index('"1.0"')
+    if len(body) != width_in * width_out * stride + 1:
         return None
     succ, pos = [0] * width_in, 0
     for _ in range(width_in):
@@ -791,7 +797,7 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
     enc, dec = ((str, str) if isinstance(text, str)
                 else (str.encode, bytes.decode))
     opening, first, *fields, last, more = map(enc, (_LEVELS, *_LEVEL,
-                                                    "\n ]", ",\n"))
+                                                    "]", ","))
     start = text.find(opening)
     if start < 0:
         return None
@@ -818,12 +824,13 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
     else:
         return None
     try:
-        head = dec(text[:start]) + '\n "levels": null' + dec(text[pos + 3:])
+        head = (dec(text[:start]) + ',"levels":null'
+                + dec(text[pos + len(last):]))
         head = head[:-1] if head.endswith("\n") else head
         doc = json.loads(head)
-        # the re-dump rules out other whitespace, escaped and repeated keys
-        if (not isinstance(doc, dict)
-                or json.dumps(doc, indent=1, sort_keys=True) != head):
+        # the re-dump rules out whitespace, escaped and repeated keys
+        if (not isinstance(doc, dict) or doc.keys() != _HEAD
+                or _DUMP(doc) != head):
             return None
         fields = _decode_header(doc)
         semantics = fields["semantics"]
@@ -864,6 +871,7 @@ def deserialize(text: str | bytes | mmap.mmap) -> Program:
         if hasattr(text, "madvise"):
             text.madvise(mmap.MADV_DONTNEED)
         text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        del data            # not held through the whole-text parse
         program = _read_layout(text)
     if program is not None:
         return program

@@ -323,7 +323,7 @@ def test_near_function_entries_read_dense_and_validate_in_one_line(
     for _ in range(4):
         doc = json.loads(built)
         i, which = _bend(doc, rng, how)
-        text = json.dumps(doc, indent=1, sort_keys=True)
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         path.write_text(text + "\n")
         got, out, err = _run(capsys, ["validate", str(path)])
         assert (got, err) == (code, "") and len(out.splitlines()) == 1
@@ -333,8 +333,8 @@ def test_near_function_entries_read_dense_and_validate_in_one_line(
         p = program._read_layout(text)
         assert [(j, t) for j, l in enumerate(p.levels) for t in ("t0", "t1")
                 if not isinstance(getattr(l, t), tuple)] == [(i, which)]
-        compact = program.deserialize(json.dumps(doc))
-        assert p.structurally_equal(compact) and compact.structurally_equal(p)
+        whole = program.deserialize(json.dumps(doc))    # json.loads path
+        assert p.structurally_equal(whole) and whole.structurally_equal(p)
 
 
 _BOM = b"\xef\xbb\xbf"
@@ -351,8 +351,8 @@ def test_validate_reads_a_file_as_utf8_text(tmp_path, capsys, emb):
     ok = _run(capsys, ["validate", str(path)])
     assert ok[0] == 0
     head = data.index(b'"semantics"') + 4
-    body = data.index(b'"t0": ') + len(b'"t0": ')
-    end = data.index(b',\n   "t1": ', body)
+    body = data.index(b'"t0":') + len(b'"t0":')
+    end = data.index(b',"t1":', body)
     line = data.count(b"\n", 0, body) + 1
     column = body - data.rfind(b"\n", 0, body)
 
@@ -774,16 +774,19 @@ def test_an_existing_file_is_a_truth_table_even_with_a_colon(
     (["bounds", "hi-n", "--constants", "C=x"],
      "--constants needs a number, got 'x'"),
     (["subfn", "xor:4", "--order", "1,2,x"],
-     "--order needs an integer, got 'x'")],
+     "--order needs an integer, got 'x'"),
+    (["check-equiv", "p.json", "mxpj:1,2", "--mode", "sample", "--seed",
+      "-1"], "--seed needs a non-negative integer, got '-1'")],
     ids=["range", "geometric", "stride", "empty-range", "empty-w",
          "blank-w", "empty-k", "all-empty-k", "all-d", "constants",
          "truth-table", "w-trailing-comma", "w-word", "k-range-end",
          "w-factor", "w-stride", "d-range-start", "constants-value",
-         "order-token"])
+         "order-token", "negative-seed"])
 def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv,
                                    message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "t.tt").write_text("0120\n")
+    assert _run(capsys, ["build", "mxpj:1,2", "-o", "p.json"])[0] == 0
     assert _run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
@@ -814,32 +817,38 @@ def test_bounds_custom_constants(capsys):
 # determinism, files, plumbing
 
 
-# SHA-256 of the files written by the stdlib json.dumps(indent=1) encoder
-@pytest.mark.parametrize("descriptor, digest", [
-    ("mxpj:1,4",
-     "ea18980bf6da8c09271a589896fa7ebe0b99fae451d810a9eb2e9102e55af881"),
-    ("mxpj:1,4,nondet",
-     "72d88584a4f77c144a5d8aff03917bed3616efe5e21271f6fc127c482eaed907"),
-    ("mxpj:1,4,prob",
-     "d484a5ea1ebe536808d638e4626d1c4f5e6e72c1f18dbd826dfae2a5a41783dc"),
-    ("mxpj:1,4,quantum",
-     "01e370d24f2463bf986d6ddd0ed28adb3a14f00e8d3bb73f5217a6183928bcdd"),
-    ("mxpj:2,8,quantum",
-     "378e7229fbaf8c715e3f07be4794cd69f9920f6e196008730da3ad4e35f3a169"),
-    ("mxpj:2,8",
-     "ef01682dd009cba4c2b9ed84c8bf11c0d7eb62cf3ee42a5a8762eb2adddff4ba"),
-    ("mxpj:2,8,nondet",
-     "3c1abdee77b8da687fc4b09927c43c3724afde0af2336548ce48cc9f4410abe4"),
-    ("mxpj:2,8,prob",
-     "8b4eae1d691d61fbc5efb9ddcd5fd63cc3ef306b945eec39959f449c9b07cc46"),
-    ("saf:3,4,300",
-     "79fa0df9868f4b5744a2f32065fbe4354911dbf1fb0a9153cf24cb3701542c36"),
-])
-def test_build_files_are_pinned(tmp_path, capsys, descriptor, digest):
+# SHA-256 of the files written by the stdlib encoder,
+# json.dumps(doc, sort_keys=True, separators=(",", ":")) and a newline;
+# a test is named by its descriptor alone, so a re-pin keeps its name
+_BUILD_DIGESTS = {
+    "mxpj:1,4":
+        "e216f3e734e1d71425f8d74b15fcbee2a9c2e32882e2f97bb3ab97774b98b00f",
+    "mxpj:1,4,nondet":
+        "5fbf7669ed0059dd6be736791047b9f4c70538269d41d5fad00025043d85ef78",
+    "mxpj:1,4,prob":
+        "8ee9a63b58a1eff3094da5245c1cd2c7d54ed4ff8105e48ef676edb3455eca2d",
+    "mxpj:1,4,quantum":
+        "abccb631f4ded59de221b691744ca0d0367f20b44498722432f45a1ad63457f3",
+    "mxpj:2,8,quantum":
+        "07194e2345cbffdb36fee13952e2418a41f692b6a64c40230a8919f79f0dd780",
+    "mxpj:2,8":
+        "77c9ae216384ca58b099368b57229b4d1df7a1048c1fb77772820eb187e531c5",
+    "mxpj:2,8,nondet":
+        "1a2eb99bc69a97d247f3f965364b036e9e147557f07adf14bd05efe45fe738d9",
+    "mxpj:2,8,prob":
+        "e71a696df457e9146542e101c1a578f564c24740cb99dffc87a9a14fb679f330",
+    "saf:3,4,300":
+        "f74ee10ff4e681654e8d9f79fd234f7946f9ce89ee40036a9357b3d74dac11a7",
+}
+
+
+@pytest.mark.parametrize("descriptor", list(_BUILD_DIGESTS))
+def test_build_files_are_pinned(tmp_path, capsys, descriptor):
     path = tmp_path / "p.json"
     code, _, _ = _run(capsys, ["build", descriptor, "-o", str(path)])
     assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        _BUILD_DIGESTS[descriptor]
 
 
 @pytest.mark.parametrize("descriptor", ["mxpj:1,4,quantum", "saf:2,2,57"])
@@ -866,14 +875,14 @@ class _Spy:
 
 def test_long_texts_are_written_in_short_slices(monkeypatch):
     text = serialize(constructions.compile_to_quantum(
-        constructions.build_mxpj_id_obdd(2, 4)))
+        constructions.build_mxpj_id_obdd(4, 4)))
     spy = _Spy()
     program._write_sliced(spy, text, "\n")
     assert "".join(spy.writes) == text + "\n"
     assert len(spy.writes) > 20
     assert max(map(len, spy.writes)) == 65_536
     monkeypatch.setattr(sys, "stdout", spy := _Spy())
-    assert main(["build", "mxpj:2,4,quantum"]) == 0
+    assert main(["build", "mxpj:4,4,quantum"]) == 0
     assert "".join(spy.writes) == text + "\n"
     assert max(map(len, spy.writes)) == 65_536
 
@@ -1099,3 +1108,111 @@ def test_bounds_rejects_overflowing_constants(capsys, args, chain):
     assert err.count("\n") == 1
     assert err.startswith(f"error: {chain} at k=2, ")
     assert "not finite" in err
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def _fresh(prefix: list[str], *argv: str, cwd=None, **env_vars):
+    """``python prefix argv`` in a fresh process on this checkout, with no
+    BLAS thread count in its environment but env_vars."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *prefix, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+# Runs cli.main on argv with its output dropped, then prints the exit
+# code, the process's thread count and OPENBLAS_NUM_THREADS as it is then.
+_THREADS = """
+import contextlib, io, json, os, sys
+from kobdd.cli import main
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    threads = next(int(l.split()[1]) for l in fh if l.startswith("Threads:"))
+print(json.dumps([code, threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+_NEEDS_PROC = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                 reason="no /proc/self/status")
+
+
+@pytest.fixture(scope="module")
+def mxpj_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("blas") / "p.json"
+    assert main(["build", "mxpj:1,4", "-o", str(path)]) == 0
+    return path
+
+
+@_NEEDS_PROC
+@pytest.mark.parametrize("argv", [
+    ["check-equiv", "{p}", "mxpj:1,4", "--mode", "sample", "--samples",
+     "5000"],
+    ["subfn", "mxpj:1,2", "--order", "min"]])
+def test_a_fresh_command_runs_one_blas_thread(mxpj_file, argv):
+    argv = [a.format(p=mxpj_file) for a in argv]
+    proc = _fresh(["-c", _THREADS], *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 1, "1"]
+
+
+@_NEEDS_PROC
+def test_a_callers_blas_thread_count_is_kept(mxpj_file):
+    argv = ["check-equiv", str(mxpj_file), "mxpj:1,4"]
+    proc = _fresh(["-c", _THREADS], *argv, OPENBLAS_NUM_THREADS="2")
+    assert json.loads(proc.stdout)[::2] == [0, "2"], proc.stderr
+    proc = _fresh(["-c", _THREADS], *argv, OMP_NUM_THREADS="2")
+    assert json.loads(proc.stdout)[::2] == [0, None], proc.stderr
+
+
+def test_main_leaves_the_environment_once_numpy_is_in(mxpj_file, capsys,
+                                                      monkeypatch):
+    assert "numpy" in sys.modules
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert _run(capsys, ["validate", str(mxpj_file)])[0] == 0
+    assert dict(os.environ) == before
+
+
+def _dense_doc(semantics: str, n: int, w: int, seed: int) -> dict:
+    """A program of dense random stochastic or unitary w x w levels."""
+    import numpy as np
+    rng = np.random.default_rng(seed)
+
+    def branch():
+        if semantics == "probabilistic":
+            m = rng.random((w, w))
+            return [repr(x) for x in (m / m.sum(axis=0)).ravel().tolist()]
+        u = np.linalg.qr(rng.normal(size=(w, w))
+                         + 1j * rng.normal(size=(w, w)))[0]
+        return [{"re": repr(z.real), "im": repr(z.imag)}
+                for z in u.ravel().tolist()]
+
+    return {"format": "kobdd-program-v1", "semantics": semantics, "n": n,
+            "k": 1, "order": list(range(1, n + 1)), "initial": 1,
+            "accept": list(range(1, w // 2 + 1)), "epsilon": None,
+            "levels": [{"var": v, "width_in": w, "width_out": w,
+                        "t0": branch(), "t1": branch()}
+                       for v in range(1, n + 1)]}
+
+
+@pytest.mark.parametrize("semantics", ["probabilistic", "quantum"])
+def test_dense_outputs_do_not_depend_on_blas_threads(tmp_path, semantics):
+    (tmp_path / "p.json").write_text(json.dumps(_dense_doc(semantics, 6, 64,
+                                                           25)))
+    for argv in (["eval", "p.json", "101101"], ["validate", "p.json"],
+                 ["check-equiv", "p.json", "xor:6", "--mode", "sample",
+                  "--samples", "40000", "--seed", "7"]):
+        one, two = (_fresh(["-m", "kobdd"], *argv, cwd=tmp_path,
+                           OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+        assert one.returncode in (0, 1), one.stderr
+        assert (two.returncode, two.stdout, two.stderr) == \
+            (one.returncode, one.stdout, one.stderr)

@@ -23,6 +23,16 @@ from kobdd import program
 from kobdd.program import TransitionLevel, _read_layout, sweep_rows
 
 
+def _layout(doc) -> str:
+    """doc in the writer's layout: compact canonical JSON."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _indented(doc) -> str:
+    """doc in the indented layout that earlier versions wrote."""
+    return json.dumps(doc, indent=1, sort_keys=True)
+
+
 # ---------------------------------------------------------------------------
 # assignments and orders
 
@@ -413,7 +423,7 @@ def _reference_text(p) -> str:
                        "t0": encode(l.t0, l.width_out),
                        "t1": encode(l.t1, l.width_out)}
                       for l in p.levels]}
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return _layout(doc)
 
 
 def _one_level(semantics, level, **fields) -> Program:
@@ -481,6 +491,19 @@ def test_serialize_keeps_apart_equal_values_and_equal_bits():
     assert serialize(p).count("True") == 2
 
 
+def test_non_finite_entries_are_written_as_json_dumps_writes_them():
+    # written as any float is; no read accepts them, in either layout
+    odd = np.array([[np.nan, np.inf], [-np.inf, 5e-324]])
+    for p in (_one_level("probabilistic", matrix_level(1, odd, odd)),
+              _one_level("quantum", matrix_level(
+                  1, np.vectorize(complex)(odd, odd[::-1]), odd))):
+        text = serialize(p)
+        assert text == _reference_text(p) and '"-inf"' in text
+        for t in _both_layouts(json.loads(text)):
+            with pytest.raises(ProgramFormatError, match="non-finite value"):
+                deserialize(t)
+
+
 def test_repeated_entries_round_trip_bit_exact():
     w = 64
     perm = np.eye(w)[np.roll(np.arange(w), 1)]
@@ -540,9 +563,7 @@ def test_malformed_documents_rejected():
     assert len(cases) >= 6
     for doc in cases:
         errors = []
-        # compact text takes json.loads; the writer's layout is read first
-        for text in (json.dumps(doc),
-                     json.dumps(doc, indent=1, sort_keys=True)):
+        for text in _both_layouts(doc):
             with pytest.raises(ProgramFormatError) as info:
                 deserialize(text)
             errors.append(str(info.value))
@@ -562,8 +583,9 @@ def _outcome(text: str):
 
 
 def _outcome_via_json(text: str):
-    """What the json.loads path makes of text: the outcome on its compact
-    re-dump, or the ``invalid JSON`` error where json.loads rejects it."""
+    """What the json.loads path makes of text: the outcome on its re-dump
+    with json.dumps's spaced separators, which no layout read takes, or
+    the ``invalid JSON`` error where json.loads rejects it."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as e:
@@ -608,8 +630,7 @@ def _put(text: str, path, raw: str) -> str:
     replaced by the raw text ``raw``."""
     doc = json.loads(text)
     _at(doc, path[:-1])[path[-1]] = _SENTINEL
-    layout = json.dumps(doc, indent=1, sort_keys=True)
-    return layout.replace(json.dumps(_SENTINEL), raw, 1)
+    return _layout(doc).replace(json.dumps(_SENTINEL), raw, 1)
 
 
 # raw JSON text (or not JSON at all) put in place of one value
@@ -628,17 +649,23 @@ def _program_text(semantics: str, seed: int) -> str:
                                        "probabilistic", "quantum"])
 def test_layout_read_agrees_with_json_on_edge_cases(semantics):
     text = _program_text(semantics, 5)
-    texts = [text, text + "\n", text + "\n\n", " " + text, text + " "]
+    texts = [text, text + "\n", text + "\n\n", " " + text, text + " ",
+             text + "\r\n", _indented(json.loads(text))]
     # json.loads keeps the last of repeated keys
-    before_n = text.index(',\n "n": ')
-    for entry in ('"levels": 1', '"levels": []', '"n": 2', '"zz": 1'):
-        texts.append(f"{text[:before_n]},\n {entry}{text[before_n:]}")
-    texts.append(text.replace('"k": 1', '"\\u006b": 1'))
-    texts.append(text.replace('"k": 1', '"k":1'))
-    # another program's levels array, under a key sorted before "accept"
+    before_n = text.index(',"n":')
+    for entry in ('"levels":1', '"levels":[]', '"n":2', '"zz":1'):
+        texts.append(f"{text[:before_n]},{entry}{text[before_n:]}")
+    texts.append(text.replace('"k":1', '"\\u006b":1'))
+    texts.append(text.replace('"k":1', '"k": 1'))
+    # another program's levels array, under a key sorted before "accept",
+    # first or after another key; and the program's own levels moved there
     other = _program_text(semantics, 6)
-    levels = other[other.index('\n "levels": ['):other.index(',\n "n": ')]
-    texts.append(text.replace("{\n", '{\n "aa": {' + levels + "},\n", 1))
+    start, end = other.index(',"levels":['), other.index(',"n":')
+    texts.append(text.replace("{", '{"aa":{' + other[start + 1:end] + "},", 1))
+    texts.append(text.replace("{", '{"aa":{"a":1' + other[start:end] + "},", 1))
+    start, end = text.index(',"levels":['), text.index(',"n":')
+    texts.append((text[:start] + text[end:]).replace(
+        "{", '{"aa":{"a":1' + text[start:end] + "},", 1))
     for path in _leaf_paths(json.loads(text)["levels"][0], ("levels", 0)):
         texts += [_put(text, path, raw) for raw in _RAW_VALUES]
     for t in texts:
@@ -652,7 +679,7 @@ def _repeated_text(semantics: str, seed: int) -> str:
     for level in doc["levels"]:
         level["t1"] = level["t0"]
     doc["k"], doc["levels"] = 2, doc["levels"] * 2
-    return json.dumps(doc, indent=1, sort_keys=True)
+    return _layout(doc)
 
 
 @pytest.mark.parametrize("semantics", ["deterministic", "nondeterministic",
@@ -685,7 +712,7 @@ def test_layout_read_decodes_a_body_at_each_width(semantics, body, entry):
         doc = {"accept": [1], "epsilon": None, "format": "kobdd-program-v1",
                "initial": 1, "k": len(order), "n": 1, "order": [1],
                "semantics": semantics, "levels": order}
-        text = json.dumps(doc, indent=1, sort_keys=True)
+        text = _layout(doc)
         _assert_read_as_json_reads(text)
         got = _outcome(text)
         if body:
@@ -709,11 +736,13 @@ def test_layout_read_agrees_with_json_on_mutated_files(semantics, seed,
         semantics, seed)
     kind = data.draw(st.sampled_from(["char", "drop", "value", "entry"]))
     if kind == "entry":                 # one more top-level key
-        ends = [m.start() for m in re.finditer(r",\n \"|\n\}$", text)]
+        ends = [m.start() for m in re.finditer(
+            r',"(epsilon|format|initial|k|levels|n|order|semantics)":|\}$',
+            text)]
         at = data.draw(st.sampled_from(ends))
         key = data.draw(st.sampled_from(["levels", "n", "aa", "zz"]))
         value = data.draw(st.sampled_from(["1", "[]", "null"]))
-        text = f'{text[:at]},\n "{key}": {value}{text[at:]}'
+        text = f'{text[:at]},"{key}":{value}{text[at:]}'
     elif kind == "char":
         at = data.draw(st.integers(0, len(text) - 1))
         new = data.draw(st.sampled_from(["", *_CHARS]))
@@ -727,7 +756,7 @@ def test_layout_read_agrees_with_json_on_mutated_files(semantics, seed,
         path = data.draw(st.sampled_from(paths))
         if kind == "drop":
             del _at(doc, path[:-1])[path[-1]]
-            text = json.dumps(doc, indent=1, sort_keys=True)
+            text = _layout(doc)
         else:
             text = _put(text, path, data.draw(st.sampled_from(_RAW_VALUES)))
     _assert_read_as_json_reads(text)
@@ -742,9 +771,26 @@ def test_writer_texts_take_the_layout_read(name):
         assert p.structurally_equal(_outcome_via_json(t))
 
 
+def test_an_indented_file_of_earlier_versions_reads_to_the_same_program(
+        tmp_path):
+    from kobdd import (build_mxpj_id_obdd, compile_to_nondet,
+                       compile_to_prob, compile_to_quantum, load_program)
+    det = build_mxpj_id_obdd(2, 4)
+    rng = random.Random(25)
+    path = tmp_path / "old.json"
+    for p in (det, compile_to_nondet(det), compile_to_prob(det),
+              compile_to_quantum(det), random_prob_program(rng, 3, 2),
+              random_quantum_program(rng, 2, 2, w=3)):
+        text = serialize(p)
+        path.write_text(_indented(json.loads(text)) + "\n")
+        for q in (load_program(str(path)), deserialize(path.read_text())):
+            assert q.structurally_equal(p) and p.structurally_equal(q)
+            assert validate(q).ok and serialize(q) == text
+
+
 #: A one-hot 0 cell as the writer spells it, by hand; a 1 cell is as long.
 _ZERO_CELL = {"probabilistic": '"0.0"',
-              "quantum": '{\n     "im": "0.0",\n     "re": "0.0"\n    }'}
+              "quantum": '{"im":"0.0","re":"0.0"}'}
 
 
 def _embedded_text(emb: str, k: int, d: int) -> str:
@@ -767,8 +813,10 @@ def _one_hot_mutant(text: str, stride: int, at: int, kind: str) -> str:
         return put(put(text, at, '"0.0"', '"1.0"'), near, '"1.0"')
     if kind == "duplicate":
         return put(text, near, '"1.0"')
-    if kind == "shift":                 # one character earlier, same length
-        return put(text, at - 1, '"1.0" ', ' "1.0"')
+    if kind == "shift":     # one character off, the body as long: "0." is 0
+        early = near < at
+        text, at = put(text, near, '"0."'), at - early
+        return put(text, at, '"1.0" ' if early else ' "1.0"', '"1.0"')
     if kind == "zero -0.0":
         return put(text, near, '"-0.0"')
     return put(text, at, {"drop": '"0.0"'}.get(kind, kind), '"1.0"')
@@ -779,7 +827,7 @@ def _one_hot_mutant(text: str, stride: int, at: int, kind: str) -> str:
 def test_a_bent_one_hot_body_reads_as_json_reads_it(emb, k, d):
     text = _embedded_text(emb, k, d)
     built = deserialize(text)
-    stride = len(_ZERO_CELL[built.semantics] + ",\n    ")
+    stride = len(_ZERO_CELL[built.semantics] + ",")
     ones = [m.start() for m in re.finditer('"1.0"', text)]
     rng = random.Random(k * 10 + d)
     for kind in ["move", "shift", "duplicate", "drop", '"1.00"', '"1e0"',
@@ -992,9 +1040,9 @@ def _bad_entry_doc(semantics: str) -> dict:
 
 
 def _both_layouts(doc: dict) -> tuple[str, str]:
-    """doc as compact text, which takes json.loads, and in the writer's
-    layout, which is read first."""
-    return json.dumps(doc), json.dumps(doc, indent=1, sort_keys=True)
+    """doc in the writer's layout, which is read first, and in the
+    indented layout, which takes json.loads."""
+    return _layout(doc), _indented(doc)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -1073,3 +1121,24 @@ def test_load_program_holds_no_copy_of_the_file(tmp_path, emb):
     assert q.structurally_equal(p)
     # the file is mapped, and only its distinct bodies are copied out
     assert peak < size / 2, (peak, size)
+
+
+def test_load_program_lets_go_of_an_indented_files_bytes(tmp_path):
+    """A file not in the writer's layout is copied out of its map and
+    decoded to text; the bytes are not held through the whole-text parse."""
+    from kobdd import build_mxpj_id_obdd, compile_to_quantum, load_program
+    p = compile_to_quantum(build_mxpj_id_obdd(2, 4))
+    text = _indented(json.loads(serialize(p))) + "\n"
+    path = tmp_path / "old.json"
+    path.write_text(text)
+    peaks = []
+    for read in (lambda: load_program(str(path)), lambda: deserialize(text)):
+        tracemalloc.start()
+        try:
+            q = read()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert q.structurally_equal(p)
+    # the decoded text on top of what the parse of a str takes, and no more
+    assert peaks[0] - peaks[1] < 1.5 * len(text), (peaks, len(text))

@@ -63,8 +63,8 @@ def files(tmp_path_factory):
                     "t1": ["0.25", "0.5", "0.75", "0.5"]}]}))
     doc = json.loads((root / "det.json").read_text())
     doc["levels"][3]["t1"][0] = 9
-    (root / "bad.json").write_text(json.dumps(doc, indent=1,
-                                              sort_keys=True) + "\n")
+    (root / "bad.json").write_text(json.dumps(
+        doc, sort_keys=True, separators=(",", ":")) + "\n")
     return root
 
 
