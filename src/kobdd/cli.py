@@ -183,12 +183,15 @@ def _cmd_build(args) -> int:
     compilers = {"quantum": compile_to_quantum, "nondet": compile_to_nondet,
                  "prob": compile_to_prob}
 
+    notes = []
+
     def saf(k: int, w: int, n: int):
         layout = SAFLayout(n=n, k=k, w=w)
         if not layout.regime_ok:
-            _say(f"note: the address-capacity inequality 2kw(2w + address "
-                 f"bits) < n fails ({layout.regime_bits} >= {n}); the "
-                 "function is degenerate, but the program is well defined")
+            notes.append(f"note: the address-capacity inequality 2kw(2w + "
+                         f"address bits) < n fails ({layout.regime_bits} >= "
+                         f"{n}); the function is degenerate, but the program "
+                         "is well defined")
         return build_saf_2k_obdd(k, w, n)
 
     head, sep, suffix = args.descriptor.rpartition(",")
@@ -202,8 +205,11 @@ def _cmd_build(args) -> int:
     if not report.ok:
         raise ValueError("built program failed validation: "
                          + "; ".join(report.violations))
-    # the summary follows the text: a failed write leaves one error line
+    # notes and summary follow the text: a refused build or a failed
+    # write leaves one error line
     _emit(serialize(program), args.out, "\n")
+    for note in notes:
+        _say(note)
     _say(f"{program.semantics} program: n={program.n} layers={program.k} "
          f"width={width(program)}")
     return 0

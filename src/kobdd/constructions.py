@@ -58,6 +58,16 @@ def build_mxpj_id_obdd(k: int, d: int) -> Program:
     _check_nodes(k * n, d * d)
     size = d * d
     identity = tuple(range(1, size + 1))
+    # every layer XORs the same bits, so each map is built once and shared
+    flips = {}
+    for x in range(d):
+        for tau in range(t):
+            flips[0, x, tau] = tuple((u ^ (1 << tau)) * d + v + 1 if v == x
+                                     else u * d + v + 1
+                                     for u in range(d) for v in range(d))
+            flips[1, x, tau] = tuple(u * d + (v ^ (1 << tau)) + 1 if u == x
+                                     else u * d + v + 1
+                                     for u in range(d) for v in range(d))
 
     levels = []
     for layer in range(1, k + 1):
@@ -65,18 +75,8 @@ def build_mxpj_id_obdd(k: int, d: int) -> Program:
             half, pos2 = divmod(pos, k * d * t)
             table_idx, rest = divmod(pos2, d * t)
             block_vertex, tau = divmod(rest, t)
-            if table_idx != layer - 1:
-                t1 = identity
-            elif half == 0:
-                t1 = tuple(
-                    (u ^ (1 << tau)) * d + v + 1 if v == block_vertex
-                    else u * d + v + 1
-                    for u in range(d) for v in range(d))
-            else:
-                t1 = tuple(
-                    u * d + (v ^ (1 << tau)) + 1 if u == block_vertex
-                    else u * d + v + 1
-                    for u in range(d) for v in range(d))
+            t1 = (flips[half, block_vertex, tau] if table_idx == layer - 1
+                  else identity)
             levels.append(det_level(pos + 1, identity, t1, size))
 
     accept = frozenset(u * d + v + 1
@@ -91,12 +91,8 @@ def build_mxpj_id_obdd(k: int, d: int) -> Program:
 # shuffled addressing, deterministic, 2k layers
 
 
-_STATE_RANK = {"dead": 0, "search": 1, "kcand": 2, "wcand": 3,
-               "sum": 4, "done": 5}
-
-
-def _state_key(state: tuple) -> tuple:
-    return (_STATE_RANK[state[0]],) + state[1:]
+#: State kinds, in the order a level numbers its states.
+DEAD, SEARCH, KCAND, WCAND, SUM, DONE = range(6)
 
 
 def build_saf_2k_obdd(k: int, w: int, n: int) -> Program:
@@ -105,10 +101,17 @@ def build_saf_2k_obdd(k: int, w: int, n: int) -> Program:
     Layer 2t+1 resolves the lookup that yields step t's base, layer
     2t+2 the one that yields its value.  Within a layer a state is one
     of: dead (a lookup already failed), searching for slot i, comparing
-    the current block's address against the target bit by bit, summing
-    a matched block's value bits, or done holding the looked-up value.
-    A failed comparison folds straight back into the searching state,
-    which idles until the next block boundary.
+    the current block's step address (kcand) or slot address (wcand)
+    against the target bit by bit, summing a matched block's value bits,
+    or done holding the looked-up value.  A failed comparison folds
+    straight back into the searching state, which idles until the next
+    block boundary.  At a layer's end a done state searches for its
+    value in the next layer and every other state dies; after the last
+    layer a positive value accepts (sink 2) and all else rejects (sink 1).
+
+    Each state is a tuple whose first entry is its kind, an int ordered
+    DEAD < SEARCH < KCAND < WCAND < SUM < DONE, so every level, the sink
+    level too, numbers its states in sorted order.
 
     Width stays at most 3w+1 whenever k is at most 4 or a power of two
     and w is a power of two or at most 2; other parameters may briefly
@@ -119,81 +122,50 @@ def build_saf_2k_obdd(k: int, w: int, n: int) -> Program:
     a, covered = layout.a, layout.covered
     c_k, c_w = layout.addr_k_bits, layout.addr_w_bits
 
-    def k_candidates(t: int) -> tuple:
-        return tuple(c for c in (t, t + k) if c < (1 << c_k))
+    def candidates(first: int, stride: int, bits: int) -> tuple:
+        return tuple(c for c in (first, first + stride) if c < (1 << bits))
 
-    def w_candidates(i: int) -> tuple:
-        return tuple(c for c in (i, i + 2 * w) if c < (1 << c_w))
-
-    def w_step(i: int, alive: tuple, j: int, bit: int) -> tuple:
+    def compare(kind: int, i: int, alive: tuple, o: int, bit: int) -> tuple:
+        """Keep the candidates that agree with bit o of the block, which
+        reads the step field (kcand) then the slot field (wcand)."""
+        j = o - c_k if kind == WCAND else o
         alive = tuple(c for c in alive if ((c >> j) & 1) == bit)
         if not alive:
-            return ("search", i)
-        if j == c_w - 1:
-            return ("sum", 0)
-        return ("wcand", i, alive)
+            return (SEARCH, i)
+        if o == c_k + c_w - 1:
+            return (SUM, 0)
+        if o == c_k - 1:
+            return (WCAND, i, candidates(i, 2 * w, c_w))
+        return (kind, i, alive)
 
-    def k_step(i: int, alive: tuple, j: int, bit: int) -> tuple:
-        alive = tuple(c for c in alive if ((c >> j) & 1) == bit)
-        if not alive:
-            return ("search", i)
-        if j == c_k - 1:
-            return ("wcand", i, w_candidates(i))
-        return ("kcand", i, alive)
-
-    def advance(state: tuple, bit: int, t: int, half: int,
-                in_block: bool, o: int) -> tuple:
-        kind = state[0]
-        if kind in ("dead", "done") or not in_block:
-            return state
-        if kind == "search":
-            if o != 0:
-                return state
+    def advance(state: tuple, bit: int, t: int, shift: int, o: int) -> tuple:
+        if state[0] == SEARCH and o == 0:   # a block opens
             i = state[1]
-            if c_k == 0:
-                return w_step(i, w_candidates(i), 0, bit)
-            return k_step(i, k_candidates(t), 0, bit)
-        if kind == "kcand":
-            return k_step(state[1], state[2], o, bit)
-        if kind == "wcand":
-            return w_step(state[1], state[2], o - c_k, bit)
-        s = (state[1] + bit) % w
-        if o == a - 1:
-            return ("done", s + w) if half == 1 else ("done", s)
-        return ("sum", s)
+            state = ((KCAND, i, candidates(t, k, c_k)) if c_k
+                     else (WCAND, i, candidates(i, 2 * w, c_w)))
+        if state[0] in (KCAND, WCAND):
+            return compare(*state, o, bit)
+        if state[0] == SUM:
+            s = (state[1] + bit) % w
+            return (DONE, s + shift) if o == a - 1 else (SUM, s)
+        return state
 
-    def layer_exit(state: tuple) -> tuple:
-        if state[0] == "done":
-            return ("search", state[1])
-        return ("dead",)
-
-    states: list[tuple] = [("search", 0)]
+    states: list[tuple] = [(SEARCH, 0)]
     levels = []
     for layer in range(1, 2 * k + 1):
-        t, half = (layer - 1) // 2, 2 - (layer % 2)
+        t, shift, final = (layer - 1) // 2, w * (layer % 2), layer == 2 * k
         for pos in range(n):
-            in_block = pos < covered
-            o = pos % a
-            last_of_layer = pos == n - 1
-            image = {}
-            for s in states:
-                for bit in (0, 1):
-                    ns = advance(s, bit, t, half, in_block, o)
-                    if last_of_layer and layer < 2 * k:
-                        ns = layer_exit(ns)
-                    image[(s, bit)] = ns
-            if last_of_layer and layer == 2 * k:
-                t0 = tuple(2 if image[(s, 0)][0] == "done"
-                           and image[(s, 0)][1] >= 1 else 1 for s in states)
-                t1 = tuple(2 if image[(s, 1)][0] == "done"
-                           and image[(s, 1)][1] >= 1 else 1 for s in states)
-                levels.append(det_level(pos + 1, t0, t1, 2))
-                break
-            nxt = sorted(set(image.values()), key=_state_key)
+            image = [[advance(s, bit, t, shift, pos % a) if pos < covered
+                      else s for s in states] for bit in (0, 1)]
+            if pos == n - 1:   # a layer's end
+                image = [[(DEAD,) if s[0] != DONE or (final and s[1] == 0)
+                          else (DONE, 1) if final else (SEARCH, s[1])
+                          for s in row] for row in image]
+            nxt = ([(DEAD,), (DONE, 1)] if final and pos == n - 1
+                   else sorted(set(image[0] + image[1])))
             index = {s: i + 1 for i, s in enumerate(nxt)}
-            t0 = tuple(index[image[(s, 0)]] for s in states)
-            t1 = tuple(index[image[(s, 1)]] for s in states)
-            levels.append(det_level(pos + 1, t0, t1, len(nxt)))
+            levels.append(det_level(pos + 1, (index[s] for s in image[0]),
+                                    (index[s] for s in image[1]), len(nxt)))
             states = nxt
 
     return Program(semantics="deterministic", n=n, k=2 * k,

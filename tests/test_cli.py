@@ -776,12 +776,18 @@ def test_an_existing_file_is_a_truth_table_even_with_a_colon(
     (["subfn", "xor:4", "--order", "1,2,x"],
      "--order needs an integer, got 'x'"),
     (["check-equiv", "p.json", "mxpj:1,2", "--mode", "sample", "--seed",
-      "-1"], "--seed needs a non-negative integer, got '-1'")],
+      "-1"], "--seed needs a non-negative integer, got '-1'"),
+    # a refused saf build prints no regime note
+    (["build", "saf:1,1000,24000"], "48000 levels of up to 4001 nodes "
+     "exceed the build budget of 10000000 nodes"),
+    (["build", "saf:2,2,40,quantum"],
+     "level 1: width 1->2 breaks the constant width 1")],
     ids=["range", "geometric", "stride", "empty-range", "empty-w",
          "blank-w", "empty-k", "all-empty-k", "all-d", "constants",
          "truth-table", "w-trailing-comma", "w-word", "k-range-end",
          "w-factor", "w-stride", "d-range-start", "constants-value",
-         "order-token", "negative-seed"])
+         "order-token", "negative-seed", "saf-over-budget",
+         "saf-not-reversible"])
 def test_usage_errors_are_one_line(tmp_path, capsys, monkeypatch, argv,
                                    message):
     monkeypatch.chdir(tmp_path)
@@ -839,6 +845,18 @@ _BUILD_DIGESTS = {
         "e71a696df457e9146542e101c1a578f564c24740cb99dffc87a9a14fb679f330",
     "saf:3,4,300":
         "f74ee10ff4e681654e8d9f79fd234f7946f9ce89ee40036a9357b3d74dac11a7",
+    # no step-address bits: the search compares the slot field first
+    "saf:1,2,12":
+        "ac96a5bc9942a39310cec33f6bc3685e3b901958d9bae02d224d2560d5524c9e",
+    # w = 1: every value is 0 mod w, so nothing accepts
+    "saf:2,1,40":
+        "40a6f3e06f9bc347426f2d9d8115d7b2810842510ea520e3070ef5775e6e303a",
+    # width 9 = 4w+1: the fourth matching status
+    "saf:5,2,120":
+        "d4f9d71c092913fb41256b60cd81c74fdf219d72f3a802d52d01c3ac1e86c2fc",
+    # width 12 > 3w+1
+    "saf:3,3,126":
+        "9dc9e434582684dbe32ae9c4d228751a954242cc1948d667d29b28ad5e02bba9",
 }
 
 

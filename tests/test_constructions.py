@@ -62,6 +62,16 @@ def test_mxpj_levels_are_bijections():
             assert sorted(level.t1) == list(range(1, d * d + 1))
 
 
+@pytest.mark.parametrize("k,d", [(1, 2), (2, 4), (2, 8), (3, 4)])
+def test_mxpj_builder_holds_one_object_per_distinct_transition(k, d):
+    # serialize, validate and the kernel memoize by object: a map that
+    # every layer rebuilds would be rendered and checked once per layer
+    p = build_mxpj_id_obdd(k, d)
+    maps = [t for level in p.levels for t in (level.t0, level.t1)]
+    assert len({id(t) for t in maps}) == len(set(maps)) == 1 + 2 * d * (
+        (d - 1).bit_length())
+
+
 def test_mxpj_builder_rejects_bad_params():
     with pytest.raises(ValueError):
         build_mxpj_id_obdd(1, 3)
@@ -116,6 +126,29 @@ def test_saf_degenerate_w1_rejects_everything():
     for _ in range(200):
         bits = tuple(rng.randint(0, 1) for _ in range(40))
         assert eval_det(p, Assignment(bits)) == 0
+
+
+def test_saf_width_claim_over_a_grid():
+    # the docstring's bounds at the smallest n each (k, w) admits
+    widths = {}
+    rng = random.Random(26)
+    for k in range(1, 7):
+        for w in range(1, 7):
+            address_bits = (k - 1).bit_length() + (2 * w - 1).bit_length()
+            n = 2 * k * w * (address_bits + 1)
+            p = build_saf_2k_obdd(k, w, n)
+            assert validate(p).ok, (k, w)
+            widths[k, w] = width(p)
+            assert widths[k, w] <= 4 * w + 1, (k, w)
+            if ((k <= 4 or k & (k - 1) == 0)
+                    and (w <= 2 or w & (w - 1) == 0)):
+                assert widths[k, w] <= 3 * w + 1, (k, w)
+            if w >= 2:
+                lay = SAFLayout(n=n, k=k, w=w)
+                for _ in range(5):
+                    x = random_saf_positive(lay, rng)
+                    assert eval_det(p, x) == 1, (k, w)
+    assert widths[5, 2] == 4 * 2 + 1
 
 
 # ---------------------------------------------------------------------------
