@@ -61,8 +61,18 @@ def truth_table_of(f: FunctionOracle) -> np.ndarray:
     return table
 
 
-def _refine(parent: np.ndarray, rows, p: int, bound):
-    """Drop the variable x at bit p from parent[rows]: new ids and counts.
+# Pairs ranked at once.  _rank_pairs holds a few int64 temporaries of one
+# entry per pair, so each is at most 128 KiB.  glibc's malloc reuses freed
+# blocks of that size; larger ones it gives back to the system, and their
+# pages fault in again in the next block (a first n = 14 lattice: 1,700
+# minor faults, against 18,000 at 512 KiB).  The sort keeps a pair's
+# position in 16 bits, which a block of 2^14 pairs, or one row, fits.
+_BLOCK_PAIRS = (128 << 10) // 8
+
+
+def _refine(parent: np.ndarray, rows, p: int, bound, out: np.ndarray):
+    """Drop the variable x at bit p from parent[rows], writing the new ids
+    into out (one row per row of rows) and returning the counts.
 
     A row holds an id below 2^s per assignment to a prefix set of size s,
     bits in ascending variable order; equal ids mean equal restrictions.
@@ -80,12 +90,11 @@ def _refine(parent: np.ndarray, rows, p: int, bound):
     rows, bound = np.asarray(rows), np.asarray(bound, np.int64)
     s = parent.shape[1].bit_length() - 1
     half = 1 << (s - 1)
-    out = np.empty((len(rows), half), np.int32)
     counts = np.full(len(rows), half, np.int64)
     saturated = bound == 1 << s
     out[saturated] = np.arange(half)
     small = ~saturated & (bound * bound <= half)
-    step = 1 << (17 - s)                 # <= 2^16 pairs at once
+    step = max(_BLOCK_PAIRS >> (s - 1), 1)   # rows of half pairs at once
     for by_sort, pick in ((False, small), (True, ~saturated & ~small)):
         at = np.flatnonzero(pick)
         for b in range(0, len(at), step):
@@ -93,7 +102,7 @@ def _refine(parent: np.ndarray, rows, p: int, bound):
             ids = parent[rows[blk]].reshape(len(blk), -1, 2, 1 << p)
             out[blk], counts[blk] = _rank_pairs(ids[:, :, 0], ids[:, :, 1],
                                                 bound[blk], by_sort)
-    return out, counts
+    return counts
 
 
 def _rank_pairs(lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
@@ -125,11 +134,14 @@ def _rank_pairs(lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
 
 def _chain_counts(table: np.ndarray, n: int, drops) -> list[int]:
     """Counts as the 0-based variables in drops leave the full set."""
+    import numpy as np
     ids, mask, counts = table.reshape(1, -1), (1 << n) - 1, []
     bound = [2]                          # the table holds 0 and 1
     for x in drops:
-        ids, bound = _refine(ids, [0], (mask & ((1 << x) - 1)).bit_count(),
-                             bound)
+        out = np.empty((1, ids.shape[1] // 2), np.uint16)
+        bound = _refine(ids, [0], (mask & ((1 << x) - 1)).bit_count(),
+                        bound, out)
+        ids = out
         counts.append(int(bound[0]))
         mask &= ~(1 << x)
     return counts
@@ -139,8 +151,10 @@ def _lattice_counts(table: np.ndarray, n: int) -> tuple:
     """Count of every prefix set of size 2..n-1, and the bit count of
     every mask, each indexed by bitmask.
 
-    Layers of int32 ids run top-down by size, two at a time.  A mask's
-    parent is mask | its lowest unset bit x, so x is bit x of its index.
+    Layers of uint16 ids run top-down by size, two at a time: a set of
+    size s has at most 2^s classes, so for n <= 16 every id fits.  A
+    mask's parent is mask | its lowest unset bit x.  A layer holds its
+    masks grouped by x, so each x refines into one slice of the layer.
     A layer's counts bound the next layer's ranking.  Below a set with
     2^s classes every set has 2^s' classes, so once a whole layer is
     saturated the smaller sizes are filled in and no layer is built.
@@ -153,16 +167,20 @@ def _lattice_counts(table: np.ndarray, n: int) -> tuple:
     row = np.zeros(1 << n, np.intp)      # a mask's row in its layer; full: 0
     ids, bound = table.reshape(1, -1), np.array([2])    # ids 0 and 1
     for s in range(n - 1, 1, -1):
-        child = np.flatnonzero(size == s)
-        low = ~child & (child + 1)       # the lowest unset bit's value
-        row[child] = np.arange(len(child))
-        layer = np.empty((len(child), 1 << s), np.int32)
-        for x in range(n):
-            sel = np.flatnonzero(low == 1 << x)
-            parent = row[child[sel] | (1 << x)]
-            layer[sel], counts[child[sel]] = _refine(ids, parent, x,
-                                                     bound[parent])
-        ids, bound = layer, counts[child]
+        layer = np.empty((math.comb(n, s), 1 << s), np.uint16)
+        child, a = [], 0
+        for x in range(s + 1):
+            # the masks whose lowest unset bit is x: bits 0..x-1 set, bit
+            # x unset, and s - x of the bits above x set
+            high = np.flatnonzero(size[:1 << (n - x - 1)] == s - x)
+            masks = (1 << x) - 1 | high << (x + 1)
+            parent = row[masks | 1 << x]
+            counts[masks] = _refine(ids, parent, x, bound[parent],
+                                    layer[a:a + len(masks)])
+            row[masks] = np.arange(a, a + len(masks))
+            child.append(masks)
+            a += len(masks)
+        ids, bound = layer, counts[np.concatenate(child)]
         if (bound == 1 << s).all():
             below = (size >= 2) & (size < s)
             counts[below] = 1 << size[below]
@@ -248,11 +266,10 @@ def optimal_order(f: FunctionOracle) -> tuple[int, VariableOrder]:
                                  np.iinfo(np.int64).max)
                         for j in range(f.n)], axis=0)
         best[masks] = np.maximum(best[masks], below)
-    best = best.tolist()
     full = (1 << f.n) - 1
     mask = min((full & ~(1 << j) for j in reversed(range(f.n))),
                key=best.__getitem__)
-    value, last_first = best[mask], [full & ~mask]
+    value, last_first = int(best[mask]), [full & ~mask]
     while mask.bit_count() > 2:
         bit = min((1 << j for j in range(f.n) if (mask >> j) & 1),
                   key=lambda bit: best[mask & ~bit])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ def test_optimal_order_achieves_minimum():
     for _ in range(5):
         f = _random_function(rng, 5)
         value, order = optimal_order(f)
-        assert value == n_min(f)
+        assert type(value) is int and value == n_min(f)
         assert n_theta(f, order) == value
 
 
@@ -233,15 +234,17 @@ def test_refinement_matches_naive_counts_at_n10():
 
 @pytest.fixture
 def spied(monkeypatch):
-    """Record each _refine call's parent size, bounds and result, and the
-    size of each array np.sort sorts."""
+    """Record each _refine call's parent size, bounds, the ids it wrote
+    into its out rows and its counts, and the size of each array np.sort
+    sorts."""
     calls, sorted_sizes = [], []
     refine, sort = analysis._refine, np.sort
 
-    def spy_refine(parent, rows, p, *bound):
-        result = refine(parent, rows, p, *bound)
-        calls.append((parent.shape[1].bit_length() - 1, *bound, *result))
-        return result
+    def spy_refine(parent, rows, p, bound, out):
+        counts = refine(parent, rows, p, bound, out)
+        calls.append((parent.shape[1].bit_length() - 1, bound, out.copy(),
+                      counts))
+        return counts
 
     def spy_sort(a, *args, **kwargs):
         sorted_sizes.append(np.size(a))
@@ -288,7 +291,7 @@ def test_lattice_sorts_only_rows_it_cannot_rank_otherwise(spied):
 
 def test_lattice_ranks_mixed_rows(spied):
     """The n = 8 mixed function's lattice ranks rows in all three ways,
-    and every id stays below its row's count."""
+    and every id, written as uint16, stays below its row's count."""
     calls, _ = spied
     _lattice_counts(truth_table_of(_mixed_function()), 8)
     kinds = set()
@@ -296,9 +299,65 @@ def test_lattice_ranks_mixed_rows(spied):
         bound = np.asarray(bound)
         kinds.update(np.where(bound == 1 << s, "saturated", np.where(
             bound * bound <= 1 << (s - 1), "small", "sorted")).tolist())
+        assert ids.dtype == np.uint16
         assert (ids.max(axis=1) < counts).all()
         assert [len(np.unique(row)) for row in ids] == counts.tolist()
     assert kinds == {"saturated", "small", "sorted"}
+
+
+def _recount(table: np.ndarray, n: int, mask: int) -> int:
+    """Distinct restrictions of table with the variables in mask fixed,
+    from the table alone: bit j of an index is axis n-1-j of the 2^n
+    cube, and each assignment to mask's axes is one row of the rest."""
+    fixed = [n - 1 - j for j in range(n) if mask >> j & 1]
+    free = [a for a in range(n) if a not in fixed]
+    rows = table.reshape((2,) * n).transpose(fixed + free)
+    return len(set(map(bytes, np.packbits(rows.reshape(1 << len(fixed), -1),
+                                          axis=1))))
+
+
+def test_recount_matches_the_naive_counter():
+    f = _random_function(random.Random(163), 6)
+    table = truth_table_of(f)
+    for m in range(1, (1 << 6) - 1):
+        assert _recount(table, 6, m) == \
+            naive_subfunction_count(f, _subset(m, 6)), m
+
+
+@pytest.mark.parametrize("name", ["random", "mxpj:1,4"])
+def test_lattice_matches_an_independent_recount_at_n16(name):
+    """About 30 masks of every size 2..15, each recounted from the table
+    without _refine or _rank_pairs: an id that wraps in its uint16
+    layer, or a pair code formed in a narrower type, changes a count."""
+    rng = random.Random(167)
+    if name == "random":
+        table = np.array([rng.randint(0, 1) for _ in range(1 << 16)],
+                         np.uint8)
+    else:
+        table = truth_table_of(mxpj_function(1, 4))
+    counts, _ = _lattice_counts(table, 16)
+    by_size = [[] for _ in range(17)]
+    for m in range(1 << 16):
+        by_size[m.bit_count()].append(m)
+    for s in range(2, 16):
+        for m in rng.sample(by_size[s], min(30, len(by_size[s]))):
+            assert counts[m] == _recount(table, 16, m), (name, m)
+
+
+def test_lattice_peak_memory_at_n14():
+    """A random n = 14 table stops at size 9.  Sizes 10 and 9 each hold
+    1,025,024 ids, 2 MiB as uint16, so the two live layers and the
+    ranking blocks fit in 9 MiB."""
+    rng = random.Random(14)
+    table = np.array([rng.randint(0, 1) for _ in range(1 << 14)], np.uint8)
+    _lattice_counts(table, 14)           # numpy's lazy set-up comes first
+    tracemalloc.start()
+    try:
+        _lattice_counts(table, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 << 20
 
 
 def test_n_min_matches_naive_bottleneck_dp_at_n8(naive_n8):

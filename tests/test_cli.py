@@ -546,6 +546,35 @@ def test_subfn_min_order_pinned_n16(tmp_path, capsys, monkeypatch, function,
         0, _pinned_csv(name, 16, order_text, counts), f"N = {max(counts)}\n")
 
 
+# Runs python -m kobdd on argv as a child of this small process and prints
+# the child's exit code and ru_maxrss.  A child forked from the test
+# process itself starts in a copy of its memory map, and Linux keeps that
+# map's peak in the child's ru_maxrss across exec.
+_CHILD_RSS = """
+import os, subprocess, sys
+with subprocess.Popen([sys.executable, "-m", "kobdd", *sys.argv[1:]],
+                      stdout=subprocess.DEVNULL,
+                      stderr=subprocess.DEVNULL) as proc:
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux")
+def test_subfn_min_order_peak_rss_at_n16(tmp_path):
+    # the lattice's two largest layers hold 8.9M and 8.2M ids, 33 MiB as
+    # uint16; numpy's import and the interpreter take most of the rest
+    rng = random.Random(16)
+    table = tmp_path / "t16.tt"
+    table.write_text("".join("1" if rng.random() < 0.5 else "0"
+                             for _ in range(1 << 16)) + "\n")
+    proc = _fresh(["-c", _CHILD_RSS], "subfn", str(table), "--order", "min")
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0 and maxrss_kib <= 85 << 10, proc.stderr
+
+
 def _run_in_1gb(argv):
     """``python -m kobdd argv`` in a subprocess with 1 GB of address space."""
     def limit_memory():
