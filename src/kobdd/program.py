@@ -314,9 +314,11 @@ def _function_tuple(t: Any, width_in: int,
     """
     if isinstance(t, frozenset):
         succ = dict(t)
+        if not len(succ) == len(t) == width_in:     # count before the tuple
+            return None
         out = tuple(map(succ.get, range(1, width_in + 1)))
-        return out if len(succ) == len(t) == width_in and all(
-            type(d) is int and 1 <= d <= width_out for d in out) else None
+        return out if all(type(d) is int and 1 <= d <= width_out
+                          for d in out) else None
     ones = list(compress(range(len(t)), t))     # nonzero entries, NaN too
     kind = type(t[ones[0]]) if ones else None   # int or bool stays dense
     if len(ones) != width_in or kind not in (float, complex):
@@ -557,17 +559,10 @@ def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
             text[(s - 1) * len(t) + c] = one
         return text
     import numpy as np
-    dtype = np.float64 if semantics == "probabilistic" else np.complex128
-    # unique on the bits, not the values: -0.0 == 0.0, but the reprs differ
-    bits, inv = np.unique(np.ascontiguousarray(t, dtype).reshape(-1)
-                          .view(np.uint64), return_inverse=True)
-    text = [f'"{x!r}"' for x in bits.view(np.float64).tolist()]
-    if dtype is np.complex128:  # inv holds (re, im) pairs: one text per pair
-        cells, inv = np.unique(inv[0::2] * len(text) + inv[1::2],
-                               return_inverse=True)
-        text = [_CELL % (text[c % len(text)], text[c // len(text)])
-                for c in cells.tolist()]
-    return [text[i] for i in inv.tolist()]
+    if semantics == "probabilistic":
+        return [f'"{x!r}"' for x in np.asarray(t, np.float64).ravel().tolist()]
+    return [_CELL % (f'"{x.imag!r}"', f'"{x.real!r}"')
+            for x in np.asarray(t, np.complex128).ravel().tolist()]
 
 
 def _encode_list(entries: list[str]) -> str:

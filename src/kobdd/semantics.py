@@ -10,13 +10,16 @@ the variable it tests and applies the matching transition:
                    at the end; acceptance probability is the squared norm
                    of the amplitudes on the accepting sinks
 
-One kernel runs all four over an (m, n) matrix of assignments, one row
-per input.  A row stays one node index through every level whose
-branches are successor tuples, which every 0/1 function branch is in any
-semantics, and becomes a dense vector only at the first level that is
-not.  A scalar call on a program whose every level is such a pair, which
-every built program is, follows one node in plain Python and never
-imports numpy; on any other program it is a batch of one.
+One plan per program marks each level once as a pair of successor tuples
+(every 0/1 function branch is one, in any semantics), an identity pair,
+which is skipped, or dense.  The scalar walk, the kernel and the trace
+all read it.  The kernel runs all four semantics over an (m, n) matrix of
+assignments, one row per input.  A row stays one node index through every
+pair and becomes a dense vector only at the first dense level; a trace
+keeps the same node form and shows it as one-hot rows.  A scalar call on
+a program of pairs, which every built program is, follows one node in
+plain Python and never imports numpy; on any other program it is a batch
+of one.
 """
 
 from __future__ import annotations
@@ -46,12 +49,11 @@ def _check_semantics(p: Program, caller: str,
         raise ValueError(f"{caller} on a {p.semantics} program")
 
 
-def _successors(semantics: str, t):
-    """A tuple (any 0/1 function), or any det branch, as 0-based successors."""
+def _table(t0, t1) -> np.ndarray:
+    """A pair's (2, width_in) array of 0-based successors, read as
+    ``tab[bit, node]``."""
     import numpy as np
-    if isinstance(t, tuple) or semantics == "deterministic":
-        return np.array(t, dtype=np.intp) - 1
-    return None
+    return np.array([t0, t1], dtype=np.intp) - 1
 
 
 def _dense(semantics: str, t, width_in: int, width_out: int) -> np.ndarray:
@@ -68,52 +70,40 @@ def _dense(semantics: str, t, width_in: int, width_out: int) -> np.ndarray:
     return op
 
 
-def _is_identity(lvl, tab) -> bool:
-    """True iff a level's successor table sends every node to itself."""
-    import numpy as np
-    return (lvl.width_in == lvl.width_out
-            and (tab == np.arange(lvl.width_in)).all())
+def _plan(p: Program) -> tuple:
+    """(walk, levels, table, dense), made once per Program without numpy.
 
-
-def _compiled(p: Program) -> tuple[tuple[int, object], ...]:
-    """(0-based variable, (table, operators)) per level, built once per
-    Program and once per distinct transition.
-
-    The table is the (2, width_in) successor array, read as
-    ``tab[bit, node]``, of a level whose two branches both have
-    :func:`_successors`, else None.  The operators are the two dense
-    branches, in every semantics but deterministic.  A level with a table
-    holds a function that returns them instead, so that they are made
-    only when a dense row reaches one (a trace, or a row past a level
-    with no table).  An identity level is None, and the kernel skips it.
-    The list is kept in the instance dict, as functools.cached_property
-    does; Program and its levels are frozen, so it never goes stale.
+    levels holds (0-based variable, pair, level) per level.  The pair is
+    the level's two branches if both are successor tuples, or in any
+    deterministic level; () if they also send every node to itself, an
+    identity that every mode skips; None for a dense level.  walk is True
+    iff every branch is a tuple, so that one node can follow the pairs in
+    plain Python.  table(t0, t1) and dense(t, width_in, width_out) are
+    :func:`_table` and :func:`_dense`, each made once per distinct
+    transition, when a row first needs it.  The plan is kept in the
+    instance dict, as functools.cached_property does; Program and its
+    levels are frozen, so it never goes stale.
     """
-    import numpy as np
-    levels = p.__dict__.get("_kernel_levels")
-    if levels is None:
-        def once(make):     # p holds every transition, so ids stay unique
-            return _memo(lambda t, *widths: (id(t), *widths),
-                         partial(make, p.semantics))
-        succ, dense = once(_successors), once(_dense)
-
-        def ops(lvl):
-            return tuple(dense(t, lvl.width_in, lvl.width_out)
-                         for t in (lvl.t0, lvl.t1))
-
-        levels = []
+    plan = p.__dict__.get("_plan")
+    if plan is None:
+        walk, levels = True, []
         for lvl in p.levels:
-            s0, s1 = succ(lvl.t0), succ(lvl.t1)
-            tab = None if s0 is None or s1 is None else np.array([s0, s1])
-            if tab is not None and _is_identity(lvl, tab):
-                step = None
-            elif p.semantics == "deterministic":
-                step = tab, None
-            else:
-                step = tab, ops(lvl) if tab is None else partial(ops, lvl)
-            levels.append((lvl.variable - 1, step))
-        levels = p.__dict__["_kernel_levels"] = tuple(levels)
-    return levels
+            t0, t1 = pair = lvl.t0, lvl.t1
+            tuples = isinstance(t0, tuple) and isinstance(t1, tuple)
+            if not tuples and p.semantics != "deterministic":
+                pair = None
+            elif lvl.width_in == lvl.width_out and tuple(t0) == tuple(
+                    t1) == tuple(range(1, lvl.width_in + 1)):
+                pair = ()
+            walk = walk and tuples
+            levels.append((lvl.variable - 1, pair, lvl))
+        # p holds every transition, so their ids stay unique
+        plan = p.__dict__["_plan"] = (
+            walk, tuple(levels),
+            _memo(lambda t0, t1: (id(t0), id(t1)), _table),
+            _memo(lambda t, *widths: (id(t), *widths),
+                  partial(_dense, p.semantics)))
+    return plan
 
 
 def _kernel(p: Program, xs: np.ndarray, caller: str,
@@ -125,31 +115,37 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
     the last level instead.  ``caller`` names the public function in the
     error raised for a program outside ``semantics``.
 
-    A row is one node index, advanced by a gather, up to the first level
-    with no table; there it becomes a one-hot (m, width) reachability,
+    A row is one node index, advanced by a gather, up to the first dense
+    level; there it becomes a one-hot (m, width) reachability,
     probability or amplitude row, and each later level is a matrix step.
     A one-hot row times a 0/1 function matrix is exact, so both forms
     give the same bits.  Deterministic rows never leave the node form;
-    a trace of any other semantics starts dense.
+    a trace of any other semantics shows a node as its one-hot row.
     """
     import numpy as np
     _check_semantics(p, caller, semantics)
     # one contiguous 0/1 row per variable; a gather needs integer bits
     bits = np.ascontiguousarray(as_rows(xs, p.n).T)
+    _, levels, table, dense = _plan(p)
     det = p.semantics == "deterministic"
     nondet = p.semantics == "nondeterministic"
     dtype = complex if p.semantics == "quantum" else float
     node = np.full(bits.shape[1], p.initial - 1, dtype=np.intp)
-    state = (np.eye(p.levels[0].width_in, dtype=dtype)[node]
-             if trace and not det else None)
+    state = None
+
+    def seen(width: int) -> np.ndarray:     # the state as a trace gives it
+        if state is None and not det:
+            return np.eye(width, dtype=dtype)[node]
+        return node if state is None else state
+
     # only a trace keeps old states; otherwise each (m, width) one is freed
-    states = [node if state is None else state] if trace else None
-    for var, step in _compiled(p):
-        tab, ops = step or (None, None)
-        if state is None and tab is not None:
-            node = tab[bits[var], node]
-        elif ops is not None:
-            op0, op1 = ops() if callable(ops) else ops
+    states = [seen(p.levels[0].width_in)] if trace else None
+    for var, pair, lvl in levels:
+        if state is None and pair:
+            node = table(*pair)[bits[var], node]
+        elif pair != ():
+            op0, op1 = (dense(t, lvl.width_in, lvl.width_out)
+                        for t in (lvl.t0, lvl.t1))
             if state is None:
                 state = np.eye(len(op0), dtype=dtype)[node]
             # each row passes only the branch its bit takes
@@ -163,7 +159,7 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
                 # stay a 0/1 indicator: unclamped path counts overflow
                 np.minimum(state, 1, out=state)
         if trace:
-            states.append(node if state is None else state)
+            states.append(seen(lvl.width_out))
     if trace:
         return states
     idx = [a - 1 for a in p.accept]
@@ -177,32 +173,19 @@ def _kernel(p: Program, xs: np.ndarray, caller: str,
     return (prob > 0).astype(np.uint8) if nondet else prob
 
 
-def _walk_levels(p: Program) -> tuple[tuple[int, tuple, tuple], ...] | None:
-    """(0-based variable, t0, t1) per level if every level's two branches
-    are successor tuples, else None; kept in the instance dict, as
-    :func:`_compiled` keeps its list."""
-    levels = p.__dict__.get("_walk_levels", False)
-    if levels is False:
-        levels = p.__dict__["_walk_levels"] = (
-            tuple((lvl.variable - 1, lvl.t0, lvl.t1) for lvl in p.levels)
-            if all(isinstance(lvl.t0, tuple) and isinstance(lvl.t1, tuple)
-                   for lvl in p.levels) else None)
-    return levels
-
-
 def _scalar(p: Program, x, caller: str, semantics: tuple[str, ...]):
     """One input's accept bit (det, nondet) as an int, or its acceptance
     probability (prob, quantum) as a float.
 
-    On a program of successor tuples a single node walks the levels: the
+    On a program whose plan walks, a single node follows its pairs: the
     input is checked as :func:`as_rows` checks a row, with its messages
     in its order, and no array is made.  Any other program runs through
     :func:`_kernel` as a batch of one.
     """
     bits = _bits_of(x)
     _check_semantics(p, caller, semantics)
-    levels = _walk_levels(p)
-    if levels is None:
+    walk, levels, _, _ = _plan(p)
+    if not walk:
         import numpy as np
         hit = _kernel(p, np.array([bits]), caller, semantics)[0]
     else:
@@ -210,8 +193,10 @@ def _scalar(p: Program, x, caller: str, semantics: tuple[str, ...]):
             raise ValueError(f"input length {len(bits)} != n = {p.n}")
         Assignment(bits)        # raises unless every bit is 0 or 1
         node = p.initial
-        for var, t0, t1 in levels:
-            node = (t1 if bits[var] else t0)[node - 1]
+        for var, pair, _ in levels:
+            if pair:
+                t0, t1 = pair
+                node = (t1 if bits[var] else t0)[node - 1]
         hit = node in p.accept
     return float(hit) if p.semantics in _PROB else int(hit)
 

@@ -40,7 +40,7 @@ def _oracle_column(f, n: int, rows=None) -> np.ndarray:
             (f(Assignment.from_int(m, n)) for m in range(1 << n)),
             dtype=np.uint8, count=1 << n)
     return np.fromiter(
-        (f(Assignment(tuple(int(b) for b in row))) for row in rows),
+        (f(Assignment(tuple(row.tolist()))) for row in rows),
         dtype=np.uint8, count=len(rows))
 
 

@@ -1142,3 +1142,27 @@ def test_load_program_lets_go_of_an_indented_files_bytes(tmp_path):
         assert q.structurally_equal(p)
     # the decoded text on top of what the parse of a str takes, and no more
     assert peaks[0] - peaks[1] < 1.5 * len(text), (peaks, len(text))
+
+
+def test_a_wide_edge_set_with_one_edge_decodes_in_little_memory():
+    """An edge set is counted before its successor tuple is made, so a
+    10^7-wide level with one edge costs no 10^7-long tuple."""
+    wide = 10 ** 7
+    doc = {"format": "kobdd-program-v1", "semantics": "nondeterministic",
+           "n": 1, "k": 1, "order": [1], "initial": 1, "accept": [1],
+           "epsilon": None, "levels": [{"t0": [[1, 1]], "t1": [[1, 1]],
+                                        "var": 1, "width_in": wide,
+                                        "width_out": 1}]}
+    layout, indented = _both_layouts(doc)
+    reads = [lambda: _read_layout(layout), lambda: deserialize(indented)]
+    reads.append(lambda: nondet_level(1, wide, 1, {(1, 1)}, {(1, 1)}))
+    for read in reads:
+        tracemalloc.start()
+        try:
+            got = read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lvl = got if isinstance(got, TransitionLevel) else got.levels[0]
+        assert lvl.t0 == lvl.t1 == frozenset({(1, 1)})
+        assert peak < 1 << 20, peak
