@@ -45,10 +45,13 @@ complex entries are {"re": str, "im": str} objects, both produced with
 ``repr`` so that a round trip through the file is bit-exact.
 
 :func:`serialize` writes exactly ``json.dumps(doc, sort_keys=True,
-separators=(",", ":"))``, compact canonical JSON, rendering each distinct
-transition once.  A complex entry takes about 24 bytes, half of what the
-indented layout (``indent=1``) of earlier versions took: the
-``mxpj:2,8,quantum`` file is 37.8 MB instead of 75.5 MB.
+separators=(",", ":"))``, compact canonical JSON.  It renders each
+distinct det, nondet or dense transition once, and each distinct row of
+a one-hot matrix once; a one-hot branch is a list of shared row texts,
+so the joined document is the only large text it makes.  A complex
+entry takes about 24 bytes, half of what the indented layout
+(``indent=1``) of earlier versions took: the ``mxpj:2,8,quantum`` file
+is 37.8 MB instead of 75.5 MB.
 :func:`deserialize` has two reads.  They share every decoder (header,
 level, transition, matrix entry) and differ only in how they cut the
 text.  A text in the writer's layout (a file is mapped, not read) is cut
@@ -75,8 +78,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import chain, compress
-from typing import Any, Iterable
+from itertools import chain, compress, repeat
+from typing import Any, Iterable, Iterator
 
 SEMANTICS = ("deterministic", "nondeterministic", "probabilistic", "quantum")
 
@@ -533,8 +536,9 @@ def validate(p: Program) -> ValidationReport:
 # serialization
 #
 # serialize() writes the text of _DUMP(doc), but only the small header
-# goes through it; each distinct transition is one str.join, and the
-# document is one join of the pieces.
+# goes through it.  Each distinct det, nondet or dense transition is one
+# str.join; a one-hot branch is the pieces of its rows, each distinct row
+# one str.join; the document is one join of all the pieces.
 
 _CELL = '{"im":%s,"re":%s}'
 #: The texts of a one-hot matrix's 0 and 1 entries, of equal length.
@@ -546,18 +550,13 @@ _LEVEL = ('{"t0":', ',"t1":', ',"var":', ',"width_in":', ',"width_out":', '}')
 _DUMP = partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
+def _entries(t: Any, semantics: str) -> list[str]:
+    """The entry texts of a branch that is not written one-hot."""
     if semantics == "deterministic":
         return [str(s) for s in t]
     if semantics == "nondeterministic":
         edges = enumerate(t, 1) if isinstance(t, tuple) else sorted(t)
         return [f"[{s},{d}]" for s, d in edges]
-    if isinstance(t, tuple):    # one-hot: column c holds its 1 in row t[c]
-        zero, one = _ONE_HOT[semantics]
-        text = [zero] * (width_out * len(t))
-        for c, s in enumerate(t):
-            text[(s - 1) * len(t) + c] = one
-        return text
     import numpy as np
     if semantics == "probabilistic":
         return [f'"{x!r}"' for x in np.asarray(t, np.float64).ravel().tolist()]
@@ -567,6 +566,37 @@ def _entries(t: Any, semantics: str, width_out: int) -> list[str]:
 
 def _encode_list(entries: list[str]) -> str:
     return "[" + ",".join(entries) + "]"
+
+
+class _Rows(dict):
+    """rows[width_in, cols, end]: the text of a one-hot matrix row and the
+    text that ends it, "," or "]": its width_in cells between ",", with a
+    1 in each 0-based column of the tuple cols and a 0 elsewhere; made on
+    first use, then shared."""
+
+    def __init__(self, semantics: str):
+        self.cells = _ONE_HOT[semantics]
+
+    def __missing__(self, key: tuple[int, tuple[int, ...], str]) -> str:
+        (width_in, cols, end), (zero, one) = key, self.cells
+        cells = [zero] * width_in
+        for c in cols:
+            cells[c] = one
+        text = self[key] = ",".join(cells) + end
+        return text
+
+
+def _one_hot_text(t: tuple[int, ...], width_out: int,
+                  rows: _Rows) -> Iterator[str]:
+    """The pieces of successor tuple t's one-hot matrix text: "[", then
+    its width_out rows, each ended by "," but the last by "]"; row r has a
+    1 in each column c with t[c] == r."""
+    cols = [[] for _ in range(width_out)]
+    for c, s in enumerate(t):
+        cols[s - 1].append(c)
+    ends = chain(repeat(",", width_out - 1), ("]",))
+    return chain(("[",), map(rows.__getitem__,
+                             zip(repeat(len(t)), map(tuple, cols), ends)))
 
 
 def serialize(p: Program) -> str:
@@ -583,18 +613,23 @@ def serialize(p: Program) -> str:
         "levels": None,
     })
     before, _, after = head.partition('"levels":null')
-    # one text per distinct matrix, or per object, and width_out (a
-    # tuple's one-hot height): (True, 2) == (1, 2)
-    body = _memo(_branch_key,
-                 lambda t, w: _encode_list(_entries(t, p.semantics, w)))
+    # one text per distinct matrix, or per object: (True, 2) == (1, 2)
+    body = _memo(_branch_key, lambda t: _encode_list(_entries(t, p.semantics)))
+    rows = _Rows(p.semantics) if p.semantics in _ONE_HOT else None
     pieces = [before, '"levels":[']
     for l in p.levels:
-        fields = (body(l.t0, l.width_out), body(l.t1, l.width_out),
-                  l.variable, l.width_in, l.width_out)
-        pieces += chain(*zip(_LEVEL, map(str, fields)), (_LEVEL[-1], ","))
+        for lit, t in zip(_LEVEL, (l.t0, l.t1)):
+            pieces.append(lit)
+            if rows is not None and isinstance(t, tuple):
+                pieces += _one_hot_text(t, l.width_out, rows)
+            else:
+                pieces.append(body(t))
+        numbers = map(str, (l.variable, l.width_in, l.width_out))
+        pieces += chain(*zip(_LEVEL[2:], numbers), (_LEVEL[-1], ","))
     if p.levels:
         pieces.pop()
-    return "".join(pieces + ["]", after])
+    pieces += ("]", after)
+    return "".join(pieces)
 
 
 def _want(doc: dict, key: str, kind: type, where: str) -> Any:
@@ -743,13 +778,13 @@ _HEAD = {"accept", "epsilon", "format", "initial", "k", "levels", "n",
          "order", "semantics"}
 
 
-def _one_hot(body: str, semantics: str, width_in: int,
+def _one_hot(body: str, rows: _Rows, width_in: int,
              width_out: int) -> tuple[int, ...] | None:
     """The successor tuple t if body is exactly the writer's one-hot text
     of t, else None; never raises.  0 and 1 cells are equally long, so a
     "1.0" places its cell by its offset; t's text must then equal body."""
-    one = _ONE_HOT[semantics][1]
-    # "[" cell "," ... "," cell "]", as _encode_list puts
+    one = rows.cells[1]
+    # "[" cell "," ... "," cell "]", as _one_hot_text puts
     stride, at = len(one) + 1, 1 + one.index('"1.0"')
     if len(body) != width_in * width_out * stride + 1:
         return None
@@ -761,8 +796,8 @@ def _one_hot(body: str, semantics: str, width_in: int,
             return None
         succ[cell % width_in], pos = cell // width_in + 1, pos + stride
     t = tuple(succ)
-    return t if 0 not in t and body == _encode_list(
-        _entries(t, semantics, width_out)) else None
+    return t if 0 not in t and body == "".join(
+        _one_hot_text(t, width_out, rows)) else None
 
 
 def _find(text, lit, pos: int, hop: int) -> int:
@@ -829,9 +864,10 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
             return None
         fields = _decode_header(doc)
         semantics = fields["semantics"]
+        rows = _Rows(semantics) if semantics in _ONE_HOT else None
         def make(body, *shape):     # a one-hot text is read as its tuple
             body = dec(body)
-            return (semantics in _ONE_HOT and _one_hot(body, *shape[:3])
+            return (rows is not None and _one_hot(body, rows, *shape[1:3])
                     or _decode_transition(json.loads(body), *shape))
         transition = _memo(lambda body, _, w_in, w_out, where:
                            (id(body), w_in, w_out), make)
@@ -849,8 +885,8 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
 def deserialize(text: str | bytes | mmap.mmap) -> Program:
     """Decode a JSON program document, rejecting malformed input.
 
-    Structural problems (bad JSON, unknown semantics, shape or range
-    mismatches, unparseable numbers) raise :class:`ProgramFormatError`
+    Structural problems (bad JSON, bytes that are not UTF-8, unknown
+    semantics, shape or range mismatches, unparseable numbers) raise :class:`ProgramFormatError`
     with the offending location in the message.  Semantic invariants
     (unitarity, column sums, order consistency) are :func:`validate`'s
     job, so a structurally sound but invalid program still decodes.
@@ -865,7 +901,10 @@ def deserialize(text: str | bytes | mmap.mmap) -> Program:
         data = text[:]      # as bytes; a map's pages are then let go
         if hasattr(text, "madvise"):
             text.madvise(mmap.MADV_DONTNEED)
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        try:
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+        except UnicodeDecodeError as e:
+            raise ProgramFormatError(str(e)) from None
         del data            # not held through the whole-text parse
         program = _read_layout(text)
     if program is not None:

@@ -357,8 +357,9 @@ def test_validate_reads_a_file_as_utf8_text(tmp_path, capsys, emb):
     column = body - data.rfind(b"\n", 0, body)
 
     def bad_byte(at):
-        return (2, "", f"error: 'utf-8' codec can't decode byte 0xff in "
-                       f"position {at}: invalid start byte\n")
+        return (2, "", f"error: malformed program document: 'utf-8' codec "
+                       f"can't decode byte 0xff in position {at}: invalid "
+                       f"start byte\n")
 
     def not_json(shift):
         return (2, "", f"error: malformed program document: invalid JSON: "
@@ -886,6 +887,11 @@ _BUILD_DIGESTS = {
     # width 12 > 3w+1
     "saf:3,3,126":
         "9dc9e434582684dbe32ae9c4d228751a954242cc1948d667d29b28ad5e02bba9",
+    # one-hot branches that merge nodes, leave rows empty and change width
+    "saf:2,2,57,prob":
+        "6fddbc67ca3b3762ac8fbb68bd1c800435cf97e41d0ea53c18cb08782c62b2bb",
+    "saf:3,4,300,prob":
+        "14d63357055d7aa34ce422fb179e0d55edf20cc8c6d039e1c08a3786c66d553e",
 }
 
 

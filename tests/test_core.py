@@ -458,6 +458,16 @@ def _encoder_cases():
         "probabilistic", matrix_level(1, np.float32(odd) / 3, odd))
     cases["complex64"] = _one_level(
         "quantum", matrix_level(1, np.complex64(odd + 0.1j), odd))
+    # one-hot rows with no 1 and with two: width 3 -> 4, nodes 1, 2 -> 1
+    cases["one-hot prob"] = _one_level(
+        "probabilistic", matrix_level(1, np.eye(4)[:, [0, 0, 2]],
+                                      np.eye(4)[:, [3, 1, 0]]))
+    cases["one-hot quantum"] = _one_level(
+        "quantum", matrix_level(1, np.eye(3)[:, [2, 0, 1]] + 0j,
+                                np.eye(3) + 0j))
+    for name in ("one-hot prob", "one-hot quantum"):
+        level = cases[name].levels[0]
+        assert isinstance(level.t0, tuple) and isinstance(level.t1, tuple)
     return cases
 
 
@@ -1121,6 +1131,44 @@ def test_load_program_holds_no_copy_of_the_file(tmp_path, emb):
     assert q.structurally_equal(p)
     # the file is mapped, and only its distinct bodies are copied out
     assert peak < size / 2, (peak, size)
+
+
+@pytest.mark.parametrize("emb, descriptor", [
+    pytest.param("quantum", (2, 8), id="mxpj:2,8,quantum"),
+    pytest.param("prob", (3, 4, 300), id="saf:3,4,300,prob")])
+def test_the_writer_holds_little_beside_its_text(emb, descriptor):
+    """A one-hot branch is written as the pieces of its rows, each distinct
+    row one text, so serialize holds no branch's text beside the
+    document: the mxpj:2,8,quantum text is 37.8 MB, a branch 98 KB."""
+    from kobdd import (build_mxpj_id_obdd, build_saf_2k_obdd,
+                       compile_to_prob, compile_to_quantum)
+    p = (compile_to_quantum(build_mxpj_id_obdd(*descriptor)) if emb ==
+         "quantum" else compile_to_prob(build_saf_2k_obdd(*descriptor)))
+    tracemalloc.start()
+    try:
+        text = serialize(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - len(text) < 1.5e6, (peak, len(text))
+
+
+def test_bytes_that_are_not_utf8_raise_a_format_error(tmp_path):
+    from kobdd import build_mxpj_id_obdd, compile_to_prob, load_program
+    text = serialize(compile_to_prob(build_mxpj_id_obdd(1, 2))).encode()
+    body = text.index(b'"t0":[') + 6
+    cases = {b"\xff\xfe": 0,                    # not in the layout
+             text[:body] + b"\xff" + text[body:]: body}     # in a body
+    path = tmp_path / "p.json"
+    for data, at in cases.items():
+        path.write_bytes(data)
+        for read in (lambda: deserialize(data),
+                     lambda: load_program(str(path))):
+            with pytest.raises(ProgramFormatError) as info:
+                read()
+            assert str(info.value) == (f"'utf-8' codec can't decode byte "
+                                       f"0xff in position {at}: invalid "
+                                       f"start byte")
 
 
 def test_load_program_lets_go_of_an_indented_files_bytes(tmp_path):
