@@ -70,13 +70,14 @@ def truth_table_of(f: FunctionOracle) -> np.ndarray:
 _BLOCK_PAIRS = (128 << 10) // 8
 
 
-def _refine(parent: np.ndarray, rows, p: int, bound, out: np.ndarray):
-    """Drop the variable x at bit p from parent[rows], writing the new ids
-    into out (one row per row of rows) and returning the counts.
+def _refine(parent: np.ndarray, p: int, bound, out: np.ndarray | None):
+    """Drop the variable x at bit p from every row of parent, writing the
+    new ids into out (one row per row of parent, or none when out is None)
+    and returning the counts.
 
     A row holds an id below 2^s per assignment to a prefix set of size s,
     bits in ascending variable order; equal ids mean equal restrictions.
-    bound[i] is the count of row rows[i], or a larger bound on its ids.
+    bound[i] is the count of parent row i, or a larger bound on its ids.
     A new id ranks, within its row, the pair (id at x = 0, id at x = 1),
     and each row takes the cheapest exact way its bound allows:
 
@@ -87,28 +88,31 @@ def _refine(parent: np.ndarray, rows, p: int, bound, out: np.ndarray):
     * any other row: one sort of the codes, which gives the same ranks.
     """
     import numpy as np
-    rows, bound = np.asarray(rows), np.asarray(bound, np.int64)
+    bound, want_ids = np.asarray(bound, np.int64), out is not None
     s = parent.shape[1].bit_length() - 1
     half = 1 << (s - 1)
-    counts = np.full(len(rows), half, np.int64)
+    counts = np.full(len(parent), half, np.int64)
     saturated = bound == 1 << s
-    out[saturated] = np.arange(half)
+    if want_ids:
+        out[saturated] = np.arange(half)
     small = ~saturated & (bound * bound <= half)
     step = max(_BLOCK_PAIRS >> (s - 1), 1)   # rows of half pairs at once
     for by_sort, pick in ((False, small), (True, ~saturated & ~small)):
         at = np.flatnonzero(pick)
         for b in range(0, len(at), step):
             blk = at[b:b + step]
-            ids = parent[rows[blk]].reshape(len(blk), -1, 2, 1 << p)
-            out[blk], counts[blk] = _rank_pairs(ids[:, :, 0], ids[:, :, 1],
-                                                bound[blk], by_sort)
+            ids = parent[blk].reshape(len(blk), -1, 2, 1 << p)
+            new, counts[blk] = _rank_pairs(ids[:, :, 0], ids[:, :, 1],
+                                           bound[blk], by_sort, want_ids)
+            if want_ids:
+                out[blk] = new
     return counts
 
 
 def _rank_pairs(lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
-                by_sort: bool):
-    """Each row's rank of its (lo, hi) pairs in lexicographic order, and
-    its count of distinct pairs; row i's ids are below c[i]."""
+                by_sort: bool, want_ids: bool):
+    """Each row's count of distinct (lo, hi) pairs, and, if want_ids, its
+    rank of the pairs in lexicographic order; row i's ids are below c[i]."""
     import numpy as np
     k = len(c)
     size = c * c                         # row i's codes lo * c[i] + hi
@@ -120,6 +124,8 @@ def _rank_pairs(lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
         rank = np.cumsum(new) - 1        # rank among the block's codes
         start = rank[::codes.size // k]  # a row's codes follow its first
         counts = np.diff(start, append=rank[-1] + 1)
+        if not want_ids:
+            return None, counts
         ids = np.empty(codes.size, np.int64)
         ids[order & 0xFFFF] = rank
     else:            # the count of codes present below each code
@@ -127,8 +133,11 @@ def _rank_pairs(lo: np.ndarray, hi: np.ndarray, c: np.ndarray,
         seen[codes] = True
         below = np.zeros(seen.size + 1, np.int64)
         np.cumsum(seen, out=below[1:])
-        ids, start = below[codes], below[base]
+        start = below[base]
         counts = below[base + size] - start
+        if not want_ids:
+            return None, counts
+        ids = below[codes]
     return ids.reshape(k, -1) - start[:, None], counts
 
 
@@ -139,8 +148,7 @@ def _chain_counts(table: np.ndarray, n: int, drops) -> list[int]:
     bound = [2]                          # the table holds 0 and 1
     for x in drops:
         out = np.empty((1, ids.shape[1] // 2), np.uint16)
-        bound = _refine(ids, [0], (mask & ((1 << x) - 1)).bit_count(),
-                        bound, out)
+        bound = _refine(ids, (mask & ((1 << x) - 1)).bit_count(), bound, out)
         ids = out
         counts.append(int(bound[0]))
         mask &= ~(1 << x)
@@ -151,37 +159,43 @@ def _lattice_counts(table: np.ndarray, n: int) -> tuple:
     """Count of every prefix set of size 2..n-1, and the bit count of
     every mask, each indexed by bitmask.
 
-    Layers of uint16 ids run top-down by size, two at a time: a set of
-    size s has at most 2^s classes, so for n <= 16 every id fits.  A
-    mask's parent is mask | its lowest unset bit x.  A layer holds its
-    masks grouped by x, so each x refines into one slice of the layer.
-    A layer's counts bound the next layer's ranking.  Below a set with
-    2^s classes every set has 2^s' classes, so once a whole layer is
-    saturated the smaller sizes are filled in and no layer is built.
+    Layers run top-down by size.  A mask's parent is mask | its lowest
+    unset bit x, and a layer holds its masks in groups by x: group g
+    keeps its masks, their counts and, as one uint16 array, their ids
+    (a set of size s has at most 2^s classes, so for n <= 16 every id
+    fits).  A parent holds bits 0..x, so its group is above x, and
+    clearing bit x of each mask of a group g > x gives, in that order,
+    the part of child group x that g refines.  Group 0 is nobody's
+    parent: its rows are ranked for their counts alone, and no ids are
+    kept.  Child group x reads only groups above x, so group x + 1 is
+    freed once child group x is done.  A layer's counts bound the next
+    layer's ranking.  Below a set with 2^s classes every set has 2^s'
+    classes, so once a whole layer is saturated the smaller sizes are
+    filled in and no layer is built.
     """
     import numpy as np
     size = np.zeros(1, np.int64)
     for _ in range(n):                   # masks with the top bit: one more
         size = np.concatenate((size, size + 1))
     counts = np.zeros(1 << n, np.int64)
-    row = np.zeros(1 << n, np.intp)      # a mask's row in its layer; full: 0
-    ids, bound = table.reshape(1, -1), np.array([2])    # ids 0 and 1
+    # group -> (masks, ids, counts); the full set holds ids 0 and 1
+    layer = {n: (np.array([(1 << n) - 1]), table.reshape(1, -1), [2])}
     for s in range(n - 1, 1, -1):
-        layer = np.empty((math.comb(n, s), 1 << s), np.uint16)
-        child, a = [], 0
+        child = {}
         for x in range(s + 1):
-            # the masks whose lowest unset bit is x: bits 0..x-1 set, bit
-            # x unset, and s - x of the bits above x set
-            high = np.flatnonzero(size[:1 << (n - x - 1)] == s - x)
-            masks = (1 << x) - 1 | high << (x + 1)
-            parent = row[masks | 1 << x]
-            counts[masks] = _refine(ids, parent, x, bound[parent],
-                                    layer[a:a + len(masks)])
-            row[masks] = np.arange(a, a + len(masks))
-            child.append(masks)
-            a += len(masks)
-        ids, bound = layer, counts[np.concatenate(child)]
-        if (bound == 1 << s).all():
+            parents = [layer[g] for g in layer if g > x]
+            masks = np.concatenate([m for m, _, _ in parents]) & ~(1 << x)
+            ids = np.empty((len(masks), 1 << s), np.uint16) if x else None
+            got, a = [], 0
+            for m, parent, bound in parents:
+                got.append(_refine(parent, x, bound, None if ids is None
+                                   else ids[a:a + len(m)]))
+                a += len(m)
+            counts[masks] = got = np.concatenate(got)
+            child[x] = masks, ids, got
+            layer.pop(x + 1, None)       # read by no later child group
+        layer = child
+        if all((c == 1 << s).all() for _, _, c in layer.values()):
             below = (size >= 2) & (size < s)
             counts[below] = 1 << size[below]
             break

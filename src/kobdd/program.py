@@ -176,7 +176,11 @@ def all_assignments_array(n: int, lo: int = 0,
     if not 0 <= lo <= hi <= 1 << n:
         raise ValueError(f"rows {lo}..{hi} outside 0..{1 << n}")
     m = np.arange(lo, hi, dtype=np.uint32)
-    return ((m[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+    rows = np.empty((hi - lo, n), np.uint8)
+    for j in range(n):          # one column at a time: no (rows, n) uint32
+        np.bitwise_and(m, 1, out=rows[:, j], casting="unsafe")
+        m >>= 1
+    return rows
 
 
 def as_rows(xs, n: int) -> np.ndarray:
@@ -600,7 +604,10 @@ def _one_hot_text(t: tuple[int, ...], width_out: int,
 
 
 def serialize(p: Program) -> str:
-    """Encode a program as a JSON document; see the module docstring."""
+    """Encode a program as a JSON document; see the module docstring.
+
+    A prob or quantum successor tuple is written one-hot, so a successor
+    outside 1..width_out, which has no row, raises ValueError."""
     head = _DUMP({
         "format": FORMAT_TAG,
         "semantics": p.semantics,
@@ -617,11 +624,16 @@ def serialize(p: Program) -> str:
     body = _memo(_branch_key, lambda t: _encode_list(_entries(t, p.semantics)))
     rows = _Rows(p.semantics) if p.semantics in _ONE_HOT else None
     pieces = [before, '"levels":[']
-    for l in p.levels:
-        for lit, t in zip(_LEVEL, (l.t0, l.t1)):
+    for i, l in enumerate(p.levels):
+        for lit, which, t in zip(_LEVEL, ("t0", "t1"), (l.t0, l.t1)):
             pieces.append(lit)
             if rows is not None and isinstance(t, tuple):
-                pieces += _one_hot_text(t, l.width_out, rows)
+                w = l.width_out
+                if not 1 <= min(t, default=1) <= max(t, default=1) <= w:
+                    bad = [s for s in t if not 1 <= s <= w]
+                    raise ValueError(f"levels[{i}].{which}: successors "
+                                     f"{bad} outside 1..{w}")
+                pieces += _one_hot_text(t, w, rows)
             else:
                 pieces.append(body(t))
         numbers = map(str, (l.variable, l.width_in, l.width_out))
@@ -933,8 +945,9 @@ def _write_sliced(fh, text: str, end: str = "") -> None:
 
 
 def save_program(p: Program, path: str) -> None:
+    text = serialize(p)         # before the file is opened: a raise keeps it
     with open(path, "w", encoding="utf-8") as fh:
-        _write_sliced(fh, serialize(p), "\n")
+        _write_sliced(fh, text, "\n")
 
 
 def load_program(path: str) -> Program:

@@ -235,15 +235,15 @@ def test_refinement_matches_naive_counts_at_n10():
 @pytest.fixture
 def spied(monkeypatch):
     """Record each _refine call's parent size, bounds, the ids it wrote
-    into its out rows and its counts, and the size of each array np.sort
-    sorts."""
+    into its out rows (None for a call that ranks for counts alone) and
+    its counts, and the size of each array np.sort sorts."""
     calls, sorted_sizes = [], []
     refine, sort = analysis._refine, np.sort
 
-    def spy_refine(parent, rows, p, bound, out):
-        counts = refine(parent, rows, p, bound, out)
-        calls.append((parent.shape[1].bit_length() - 1, bound, out.copy(),
-                      counts))
+    def spy_refine(parent, p, bound, out):
+        counts = refine(parent, p, bound, out)
+        calls.append((parent.shape[1].bit_length() - 1, np.asarray(bound),
+                      None if out is None else out.copy(), counts))
         return counts
 
     def spy_sort(a, *args, **kwargs):
@@ -253,6 +253,15 @@ def spied(monkeypatch):
     monkeypatch.setattr(analysis, "_refine", spy_refine)
     monkeypatch.setattr(np, "sort", spy_sort)
     return calls, sorted_sizes
+
+
+def _kinds(calls) -> set[str]:
+    """How the recorded _refine calls ranked their rows."""
+    kinds = set()
+    for s, bound, *_ in calls:
+        kinds.update(np.where(bound == 1 << s, "saturated", np.where(
+            bound * bound <= 1 << (s - 1), "small", "sorted")).tolist())
+    return kinds
 
 
 @pytest.mark.parametrize("f", [and_function(12), xor_function(12),
@@ -291,18 +300,27 @@ def test_lattice_sorts_only_rows_it_cannot_rank_otherwise(spied):
 
 def test_lattice_ranks_mixed_rows(spied):
     """The n = 8 mixed function's lattice ranks rows in all three ways,
-    and every id, written as uint16, stays below its row's count."""
+    every id, written as uint16, stays below its row's count, and the
+    rows ranked for their counts alone are the sets without variable 1,
+    each with its recounted count."""
     calls, _ = spied
-    _lattice_counts(truth_table_of(_mixed_function()), 8)
-    kinds = set()
+    table = truth_table_of(_mixed_function())
+    _lattice_counts(table, 8)
+    leaves = [[] for _ in range(8)]
     for s, bound, ids, counts in calls:
-        bound = np.asarray(bound)
-        kinds.update(np.where(bound == 1 << s, "saturated", np.where(
-            bound * bound <= 1 << (s - 1), "small", "sorted")).tolist())
+        if ids is None:
+            leaves[s - 1] += counts.tolist()
+            continue
         assert ids.dtype == np.uint16
         assert (ids.max(axis=1) < counts).all()
         assert [len(np.unique(row)) for row in ids] == counts.tolist()
-    assert kinds == {"saturated", "small", "sorted"}
+    assert _kinds(calls) == {"saturated", "small", "sorted"}
+    built = [t for t in range(8) if leaves[t]]
+    assert built == list(range(built[0], 8))
+    for t in built:
+        assert sorted(leaves[t]) == sorted(
+            _recount(table, 8, m) for m in range(0, 1 << 8, 2)
+            if m.bit_count() == t), t
 
 
 def _recount(table: np.ndarray, n: int, mask: int) -> int:
@@ -344,10 +362,40 @@ def test_lattice_matches_an_independent_recount_at_n16(name):
             assert counts[m] == _recount(table, 16, m), (name, m)
 
 
+@pytest.mark.parametrize("name", ["zero", "sparse", "parity", "halves"])
+def test_lattice_matches_an_independent_recount_at_n14(spied, name):
+    """20 masks with and 20 without variable 1 of every size 2..13 (or
+    all of them), each recounted from the table without _refine.  The
+    5%-sparse table stops at its first saturated layer and the others
+    build every layer; the equal halves rank rows in all three ways."""
+    calls, _ = spied
+    n, rng = 14, random.Random(181)
+    half = [rng.randint(0, 1) for _ in range(1 << (n - 1))]
+    table = np.array({
+        "zero": [0] * (1 << n),
+        "sparse": [int(rng.random() < 0.05) for _ in range(1 << n)],
+        "parity": [i.bit_count() & 1 for i in range(1 << n)],
+        "halves": half + half}[name], np.uint8)
+    counts, _ = _lattice_counts(table, n)
+    lowest = min(s for s, *_ in calls) - 1
+    assert (lowest > 2) == (name == "sparse")
+    assert any(ids is None for _, _, ids, _ in calls)
+    if name == "halves":
+        assert _kinds(calls) == {"saturated", "small", "sorted"}
+    by_size = [([], []) for _ in range(n + 1)]
+    for m in range(1 << n):
+        by_size[m.bit_count()][m & 1].append(m)
+    for s in range(2, n):
+        for masks in by_size[s]:
+            for m in rng.sample(masks, min(20, len(masks))):
+                assert counts[m] == _recount(table, n, m), (name, m)
+
+
 def test_lattice_peak_memory_at_n14():
     """A random n = 14 table stops at size 9.  Sizes 10 and 9 each hold
-    1,025,024 ids, 2 MiB as uint16, so the two live layers and the
-    ranking blocks fit in 9 MiB."""
+    1,025,024 ids, 2 MiB as uint16.  The sets without variable 1 keep no
+    ids, and a parent group is freed once its last child group is
+    ranked, so the live ids and the ranking blocks fit in 4 MiB."""
     rng = random.Random(14)
     table = np.array([rng.randint(0, 1) for _ in range(1 << 14)], np.uint8)
     _lattice_counts(table, 14)           # numpy's lazy set-up comes first
@@ -357,7 +405,7 @@ def test_lattice_peak_memory_at_n14():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 << 20
+    assert peak <= 4 << 20
 
 
 def test_n_min_matches_naive_bottleneck_dp_at_n8(naive_n8):

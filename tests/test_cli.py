@@ -547,6 +547,49 @@ def test_subfn_min_order_pinned_n16(tmp_path, capsys, monkeypatch, function,
         0, _pinned_csv(name, 16, order_text, counts), f"N = {max(counts)}\n")
 
 
+# seeded truth-table files: name -> (n, seed, share of ones)
+_SUBFN_TABLES = {"r14.tt": (14, 1401, 0.5), "s14.tt": (14, 1405, 0.05),
+                 "r16.tt": (16, 1601, 0.5)}
+# SHA-256 of subfn --order min's stdout and of its stderr, recorded
+# before the lattice kept one array per group of a layer
+_SUBFN_MIN_DIGESTS = {
+    "r14.tt":
+        ("2f741e4cf113a8cc5ce4e86e48649f0053a9a4f96145730aa12ffe532716b7dd",
+         "9cbd695529bb9961ac9eb465447489588b0c980c07e7daa5cb2d002d4c25bc04"),
+    "s14.tt":
+        ("c964a178957f3935b58a62fe6fe203802008e1602a4d11acfadc2700b4befd6c",
+         "859405c50fa7a82171037cd82f2b8be4bb80ed862dbac643699ebe5b72903bb8"),
+    "r16.tt":
+        ("516e6975bd30646fea2bc776be5a928f01f517d8f3903ad094ba25f29ecba387",
+         "a18d01f8fa2f974c13df70b7bf1a7f14bdd8da56aa88cc62dd872e03ced33038"),
+    "mxpj:1,4":
+        ("e106a1a3f72fb6beddd4537bfca8cecfca7cb99ffe0d2ed86a1e27738ef33b03",
+         "ad1432cd1dcded13ddc9c3f95f2dabb1d2f31292d994c04152a388aca7a8c568"),
+    "and:16":
+        ("1edd2e8442484eb5b556fe363b21c6d448f2a2658d04695aa6307f9dd25fec15",
+         "9eb6d0b8907e515cf749c017c40c18816d7bfef478fab9f41ac55f04ce3825aa"),
+    "xor:16":
+        ("551d52a2963f9366642687d573e685e1ed4794a9dc94c050f4c661863813f287",
+         "9eb6d0b8907e515cf749c017c40c18816d7bfef478fab9f41ac55f04ce3825aa"),
+}
+
+
+@pytest.mark.parametrize("function", list(_SUBFN_MIN_DIGESTS))
+def test_subfn_min_order_outputs_are_pinned(tmp_path, capsys, monkeypatch,
+                                            function):
+    monkeypatch.chdir(tmp_path)
+    if function in _SUBFN_TABLES:
+        n, seed, ones = _SUBFN_TABLES[function]
+        rng = random.Random(seed)
+        (tmp_path / function).write_text("".join(
+            "1" if rng.random() < ones else "0" for _ in range(1 << n)) + "\n")
+    code, out, err = _run(capsys, ["subfn", function, "--order", "min"])
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest(),
+            hashlib.sha256(err.encode()).hexdigest()) == \
+        _SUBFN_MIN_DIGESTS[function]
+
+
 # Runs python -m kobdd on argv as a child of this small process and prints
 # the child's exit code and ru_maxrss.  A child forked from the test
 # process itself starts in a copy of its memory map, and Linux keeps that
@@ -565,15 +608,17 @@ print(proc.returncode, usage.ru_maxrss)
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux")
 def test_subfn_min_order_peak_rss_at_n16(tmp_path):
-    # the lattice's two largest layers hold 8.9M and 8.2M ids, 33 MiB as
-    # uint16; numpy's import and the interpreter take most of the rest
+    # the lattice's two largest layers, sizes 11 and 10, hold 8.9M and
+    # 8.2M ids, 33 MiB as uint16, but the sets without variable 1 keep no
+    # ids and a parent group is freed once read, so about 15 MiB of ids
+    # are live at once; numpy's import and the interpreter take the rest
     rng = random.Random(16)
     table = tmp_path / "t16.tt"
     table.write_text("".join("1" if rng.random() < 0.5 else "0"
                              for _ in range(1 << 16)) + "\n")
     proc = _fresh(["-c", _CHILD_RSS], "subfn", str(table), "--order", "min")
     code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == 0 and maxrss_kib <= 85 << 10, proc.stderr
+    assert code == 0 and maxrss_kib <= 60 << 10, proc.stderr
 
 
 def _run_in_1gb(argv):

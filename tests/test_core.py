@@ -89,6 +89,20 @@ def test_all_assignments_array_matches_from_int():
         all_assignments_array(25)
 
 
+@pytest.mark.parametrize("n", [*range(1, 11), 24])
+def test_all_assignments_array_rows_are_from_int(n):
+    """Every row at n <= 10, and the edges of the range at n = 24."""
+    top, mid = 1 << n, 1 << (n - 1)
+    ranges = [(0, top)] if n <= 10 else [
+        (0, 40), (mid - 20, mid + 20), (top - 40, top), (top, top)]
+    for lo, hi in ranges:
+        xs = all_assignments_array(n, lo, hi)
+        assert xs.dtype == np.uint8 and xs.shape == (hi - lo, n)
+        assert xs.flags.c_contiguous
+        assert [tuple(row) for row in xs.tolist()] == \
+            [Assignment.from_int(m, n).bits for m in range(lo, hi)]
+
+
 def test_sweep_rows_matches_from_int():
     n = 6
     # asymmetric in the variables: a swapped bit order changes its values
@@ -478,6 +492,25 @@ _ENCODER_CASES = _encoder_cases()
 def test_serialize_matches_json_dumps(name):
     p = _ENCODER_CASES[name]
     assert serialize(p) == _reference_text(p)
+
+
+@pytest.mark.parametrize("semantics, t0, t1, message", [
+    # a successor 0 would put its 1 in the last row and read back as 2
+    ("probabilistic", (0, 1), (1, 2), r"levels\[0\]\.t0: successors \[0\] "
+                                      r"outside 1\.\.2$"),
+    ("quantum", (1, 2), (3, 1), r"levels\[0\]\.t1: successors \[3\] "
+                                r"outside 1\.\.2$"),
+], ids=["prob-zero", "quantum-above-width"])
+def test_serialize_range_checks_one_hot_successors(tmp_path, semantics, t0,
+                                                   t1, message):
+    p = _one_level(semantics, TransitionLevel(1, 2, 2, t0, t1))
+    with pytest.raises(ValueError, match=message):
+        serialize(p)
+    path = tmp_path / "p.json"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match=message):
+        program.save_program(p, str(path))
+    assert path.read_text() == "kept"
 
 
 def test_serialize_keeps_apart_equal_values_and_equal_bits():
