@@ -24,10 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .program import (CHAIN_SIZE, CHAINS, Program, VariableOrder,
-                      all_assignments_array, sweep_rows, width)
+from .program import (CHAIN_SIZE, CHAINS, SEMANTICS, Program,
+                      VariableOrder, all_assignments_array, sweep_rows, width)
 
 if TYPE_CHECKING:       # annotations only: bounds never loads functions
+    from collections.abc import Callable
+
     from .functions import FunctionOracle
 
 MODELS = ("det", "nondet", "prob", "quantum")
@@ -411,59 +413,44 @@ class BoundReport:
 
 def _chain_hi_n(k: int, w: int, constants: Constants):
     r = math.sqrt(w) / 2
-    lhs = lower_log2("saf_cor", k, w)
-    rhs = r * (1 + (2 * k - 1) * r)
-    return r, lhs, rhs, lhs - rhs, k >= 2 and w >= 8, "constant-free"
+    return r, lower_log2("saf_cor", k, w), r * (1 + (2 * k - 1) * r)
 
 
 def _chain_hi_p(k: int, w: int, constants: Constants):
-    if k < 2 or w < 2:
+    if k < 2:
         raise ValueError("the probabilistic chain needs k >= 2 and w >= 2")
     lk, lw = math.log2(k), math.log2(w)
-    r = math.sqrt(w) / (lk * lw)
-    lhs = lower_log2("saf_cor", k, w)
     inner = constants.c1 * k * (constants.c2 + 0.5 * lw - math.log2(lk)
                                 - math.log2(lw) + lk)
-    rhs = (2 * k + 1) * (w / (lk * lw) ** 2) * math.log2(inner)
-    return (r, lhs, rhs, lhs - rhs, k >= 2 and r >= 1,
-            "depends on C1, C2")
+    return (math.sqrt(w) / (lk * lw), lower_log2("saf_cor", k, w),
+            (2 * k + 1) * (w / (lk * lw) ** 2) * math.log2(inner))
 
 
 def _chain_hi_q(k: int, d: int, constants: Constants):
     r = math.sqrt(d / (constants.c1 * k))
-    lhs = lower_log2("mxpj_cor", k, d)
     # r is 0 only when c1 * k overflows; check_chain rejects the nan
-    rhs = constants.c * (k * r) ** 2 * math.log2(r) if r else math.nan
-    margin = k / 16 * math.log2(constants.c1 * k)
-    return (r, lhs, rhs, margin, r >= 1,
-            "margin is the final reduced exponent assuming C1 = 8C; "
-            "the raw side gap is d times larger")
+    return (r, lower_log2("mxpj_cor", k, d),
+            constants.c * (k * r) ** 2 * math.log2(r) if r else math.nan)
 
 
 def _chain_s5_obdd(k: int, d: int, constants: Constants):
-    r = d / 32
-    lhs = lower_log2("mxpj_cor", k, d)
-    rhs = k * d * (math.log2(d) - 5) / 16
-    return r, lhs, rhs, lhs - rhs, r >= 1, "constant-free"
+    return (d / 32, lower_log2("mxpj_cor", k, d),
+            k * d * (math.log2(d) - 5) / 16)
 
 
 def _chain_s5_nobdd(k: int, d: int, constants: Constants):
     ld = math.log2(d)
-    r = math.sqrt(d * ld / 33)
-    lhs = lower_log2("mxpj_cor", k, d)
-    rhs = 2 * k * d * ld / 33
-    return r, lhs, rhs, lhs - rhs, r >= 1, "constant-free"
+    return (math.sqrt(d * ld / 33), lower_log2("mxpj_cor", k, d),
+            2 * k * d * ld / 33)
 
 
 def _chain_s5_pobdd(k: int, d: int, constants: Constants):
     if k < 2:
         raise ValueError("the probabilistic chain needs k >= 2")
     lk, ld = math.log2(k), math.log2(d)
-    r = math.sqrt(d / lk)
-    lhs = lower_log2("mxpj_cor", k, d)
-    rhs = 2 * k * d * lk * (constants.c3 + lk
-                            + math.log2(constants.c2 + ld + lk))
-    return r, lhs, rhs, lhs - rhs, r >= 1, "depends on C2, C3"
+    return (math.sqrt(d / lk), lower_log2("mxpj_cor", k, d),
+            2 * k * d * lk * (constants.c3 + lk
+                              + math.log2(constants.c2 + ld + lk)))
 
 
 def _chain_h_kobdd(k: int, w: int, constants: Constants):
@@ -473,19 +460,34 @@ def _chain_h_kobdd(k: int, w: int, constants: Constants):
         raise ValueError("witness parameters collapse below k=2, w=7")
     lhs = max(lower_log2("saf_cor", kappa, omega),
               lower_log2("saf", kappa, omega))
-    rhs = ((k - 1) * r + 1) * math.log2(r) if r > 1 else 0.0
-    return (r, lhs, rhs, lhs - rhs, k >= 2 and w >= 64,
-            "re-derived witness; can go negative for odd k")
+    return r, lhs, ((k - 1) * r + 1) * math.log2(r) if r > 1 else 0.0
 
 
-_CHAIN_FNS = {
-    "hi-n": _chain_hi_n,
-    "hi-p": _chain_hi_p,
-    "hi-q": _chain_hi_q,
-    "s5-obdd": _chain_s5_obdd,
-    "s5-nobdd": _chain_s5_nobdd,
-    "s5-pobdd": _chain_s5_pobdd,
-    "h-kobdd": _chain_h_kobdd,
+@dataclass(frozen=True)
+class _Chain:
+    """A chain's formula, (k, size, constants) -> (r, lhs, rhs), and the
+    rest that is its own."""
+
+    formula: Callable
+    note: str
+    exponents: range                     # default sizes: 2^e
+    least: tuple[int, int] = (1, 2)      # least k and size in regime
+    margin: Callable | None = None       # (k, size, constants); else lhs - rhs
+
+
+_CHAINS = {
+    "hi-n": _Chain(_chain_hi_n, "constant-free", range(3, 11), least=(2, 8)),
+    "hi-p": _Chain(_chain_hi_p, "depends on C1, C2", range(3, 11)),
+    "hi-q": _Chain(_chain_hi_q, "margin is the final reduced exponent "
+                   "assuming C1 = 8C; the raw side gap is d times larger",
+                   range(4, 21),
+                   # its derivation's last step divides the side gap by d
+                   margin=lambda k, d, c: k / 16 * math.log2(c.c1 * k)),
+    "s5-obdd": _Chain(_chain_s5_obdd, "constant-free", range(4, 21)),
+    "s5-nobdd": _Chain(_chain_s5_nobdd, "constant-free", range(4, 21)),
+    "s5-pobdd": _Chain(_chain_s5_pobdd, "depends on C2, C3", range(4, 21)),
+    "h-kobdd": _Chain(_chain_h_kobdd, "re-derived witness; can go "
+                      "negative for odd k", range(6, 11), least=(2, 64)),
 }
 
 
@@ -494,44 +496,42 @@ def check_chain(chain: str, *, k: int, w: int | None = None,
                 constants: Constants = DEFAULT_CONSTANTS) -> BoundReport:
     """Evaluate one inequality chain at one parameter point.
 
-    A reduced width below 1 still gives the margin, with in_regime=False.
+    The rules all chains share: the margin is lhs - rhs unless the row
+    has its own; in regime means r >= 1 and k and the size at least the
+    row's least; every value finite.  r < 1 still gives the margin.
     """
-    if chain not in _CHAIN_FNS:
+    if chain not in _CHAINS:
         raise ValueError(f"unknown chain {chain!r}; "
                          f"choose from {', '.join(CHAINS)}")
-    fn, size_name = _CHAIN_FNS[chain], CHAIN_SIZE[chain]
+    row, size_name = _CHAINS[chain], CHAIN_SIZE[chain]
     size = w if size_name == "w" else d
     if size is None:
         raise ValueError(f"chain {chain} needs parameter {size_name}")
     if k < 1 or size < 2:
         raise ValueError(f"need k >= 1 and {size_name} >= 2")
-    r, lhs, rhs, margin, in_regime, note = fn(k, size, constants)
+    r, lhs, rhs = row.formula(k, size, constants)
+    margin = (lhs - rhs if row.margin is None
+              else row.margin(k, size, constants))
     if not all(math.isfinite(v) for v in (r, lhs, rhs, margin)):
         raise ValueError(f"{chain} at k={k}, {size_name}={size}: reduced "
                          "width, lhs, rhs or margin is not finite under "
                          f"{constants!r}")
-    in_regime = in_regime and r >= 1
+    in_regime = r >= 1 and k >= row.least[0] and size >= row.least[1]
     return BoundReport(chain=chain, k=k,
                        w=size if size_name == "w" else None,
                        d=size if size_name == "d" else None,
                        constants=constants, reduced_width=r,
                        lhs_log2=lhs, rhs_log2=rhs, margin=margin,
-                       in_regime=in_regime, note=note)
+                       in_regime=in_regime, note=row.note)
 
 
 def default_grid(chain: str) -> list[dict[str, int]]:
     """The documented parameter grid of a chain, in canonical order."""
-    if chain not in CHAIN_SIZE:
+    if chain not in _CHAINS:
         raise ValueError(f"unknown chain {chain!r}")
-    ks = range(2, 65)
     name = CHAIN_SIZE[chain]
-    if chain == "h-kobdd":
-        sizes = [1 << e for e in range(6, 11)]
-    elif name == "w":
-        sizes = [1 << e for e in range(3, 11)]
-    else:
-        sizes = [1 << e for e in range(4, 21)]
-    return [{name: size, "k": k} for size in sizes for k in ks]
+    return [{name: 1 << e, "k": k} for e in _CHAINS[chain].exponents
+            for k in range(2, 65)]
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +557,7 @@ def empirical_bound_check(p: Program, f: FunctionOracle) -> EmpiricalBoundReport
     check_table_size(f.n)
     count = n_min(f)
     k, w = p.k, width(p)
-    model = {"deterministic": "det", "nondeterministic": "nondet",
-             "probabilistic": "prob", "quantum": "quantum"}[p.semantics]
+    model = dict(zip(SEMANTICS, MODELS))[p.semantics]
     base, exponent = _bound_power(model, k, w, DEFAULT_CONSTANTS)
     if base == int(base) and exponent == int(exponent):
         holds = count <= int(base) ** int(exponent)

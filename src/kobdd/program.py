@@ -61,9 +61,13 @@ and hold the writer's keys alone), each distinct transition once (equal
 ones share the result); a matrix body that is exactly the writer's
 one-hot text of a successor tuple is that tuple, unparsed.  Any other
 text, an indented file of an earlier version too, and any text with an
-error, is parsed whole by ``json.loads``, and that read alone words
-every error.  It is correct but slow and large on a big file; rebuilding
-such a file with ``build`` puts it in the writer's layout.
+error in its JSON or UTF-8, is parsed whole by ``json.loads``, and that
+read words every such error.  It is correct but slow and large on a big
+file; rebuilding such a file with ``build`` puts it in the writer's
+layout.  A decoder's error in a text of the writer's layout is raised by
+the layout read, under the whole-text read's names, once every piece it
+has not yet read is known to be JSON: the message is the one the
+whole-text read would give.
 :func:`validate` checks each distinct transition once.
 """
 
@@ -480,8 +484,6 @@ def validate(p: Program) -> ValidationReport:
     Pure and idempotent: the program is never modified.
     """
     v: list[str] = []
-    if p.semantics not in SEMANTICS:
-        return ValidationReport(False, (f"unknown semantics {p.semantics!r}",))
     if len(p.order.perm) != p.n:
         v.append(f"order has {len(p.order.perm)} entries, n = {p.n}")
         return ValidationReport(False, tuple(v))
@@ -826,8 +828,10 @@ def _find(text, lit, pos: int, hop: int) -> int:
 def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
     """The program in ``text`` (a str, a file's bytes or its map) if it is
     laid out exactly as serialize (or save_program, with its newline)
-    writes it and decodes cleanly; None otherwise, so that the json.loads
-    path reads it and names any error.
+    writes it and decodes cleanly; None if it is not, or if any piece is
+    not UTF-8 or not JSON, so that the json.loads path reads it and names
+    the error.  A decoder's ProgramFormatError is raised as it is, once
+    :func:`_all_json` finds every piece not yet read to be JSON.
 
     One pass cuts the text into levels at the writer's literals
     (:func:`_find`) and copies each piece out; equal pieces share one
@@ -865,6 +869,7 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
         pos += len(more)
     else:
         return None
+    decoded = []
     try:
         head = (dec(text[:start]) + ',"levels":null'
                 + dec(text[pos + len(last):]))
@@ -883,15 +888,33 @@ def _read_layout(text: str | bytes | mmap.mmap) -> Program | None:
                     or _decode_transition(json.loads(body), *shape))
         transition = _memo(lambda body, _, w_in, w_out, where:
                            (id(body), w_in, w_out), make)
-        decoded = []
         for t0, t1, *numbers in levels:
             rl = dict(zip(("var", "width_in", "width_out"),
                           (json.loads(dec(s)) for s in numbers)),
                       t0=t0, t1=t1)
-            decoded.append(_decode_level(rl, "", semantics, transition))
+            decoded.append(_decode_level(rl, f"levels[{len(decoded)}]",
+                                         semantics, transition))
+    except ProgramFormatError:
+        # the whole-text read words it so too, once the text is all JSON
+        if _all_json(levels[len(decoded):], dec):
+            raise
+        return None
     except (ValueError, RecursionError):
         return None
     return Program(levels=tuple(decoded), **fields)
+
+
+def _all_json(levels: list, dec) -> bool:
+    """Whether each distinct piece of levels is UTF-8 and one JSON value
+    that json.loads reads as deep as the whole text holds it: in a level,
+    in the levels array, in the top object."""
+    try:
+        for piece in {id(p): p for level in levels for p in level}.values():
+            json.loads(value := dec(piece))
+            json.loads(f"[[[{value}]]]")
+    except (ValueError, RecursionError):
+        return False
+    return True
 
 
 def deserialize(text: str | bytes | mmap.mmap) -> Program:
@@ -903,8 +926,10 @@ def deserialize(text: str | bytes | mmap.mmap) -> Program:
     (unitarity, column sums, order consistency) are :func:`validate`'s
     job, so a structurally sound but invalid program still decodes.
 
-    A text in the writer's own layout is read by :func:`_read_layout`;
-    every other text, and every error, takes json.loads of the whole text.
+    A text in the writer's own layout is read by :func:`_read_layout`,
+    which raises a decoder's errors as the whole-text read words them;
+    every other text, and every error of JSON or UTF-8, takes json.loads
+    of the whole text.
     Bytes or a map are a file's: those not in the layout are read as text
     mode reads a file, UTF-8 with universal newlines, then as that text.
     """

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from functools import partial
 
-from .program import (Assignment, Program, _memo, all_assignments_array,
-                      as_rows, sweep_rows)
+from .program import (SWEEP_CHUNK, Assignment, Program, _memo,
+                      all_assignments_array, as_rows, sweep_rows)
 
 _DET, _NONDET = ("deterministic",), ("nondeterministic",)
 _PROB = ("probabilistic", "quantum")
@@ -259,16 +259,22 @@ def computes_bounded_error(p: Program, f, epsilon: float) -> bool:
     absorbs floating-point error in the probabilities themselves.
     Only meaningful for probabilistic and quantum programs, and only
     feasible for n <= program.EXHAUSTIVE_LIMIT; all_assignments_array
-    refuses larger n.
+    refuses larger n.  The 2^n rows are swept ``SWEEP_CHUNK`` at a time,
+    up to the first that fails.
     """
     import numpy as np
     if p.semantics not in _PROB:
         raise ValueError("bounded error is about probability semantics")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon {epsilon!r} outside (0, 1/2]")
-    xs = all_assignments_array(p.n)
-    probs = accept_prob_batch(p, xs)
-    # NaN fails both tests, so a NaN probability never passes
-    ok = np.where(sweep_rows(f, xs) == 1, probs >= 0.5 + epsilon - _SLACK,
-                  probs <= 0.5 - epsilon + _SLACK)
-    return bool(ok.all())
+    total = 1 << p.n
+    for lo in range(0, total, SWEEP_CHUNK):
+        xs = all_assignments_array(p.n, lo, min(lo + SWEEP_CHUNK, total))
+        probs = accept_prob_batch(p, xs)
+        # NaN fails both tests, so a NaN probability never passes
+        ok = np.where(sweep_rows(f, xs) == 1,
+                      probs >= 0.5 + epsilon - _SLACK,
+                      probs <= 0.5 - epsilon + _SLACK)
+        if not ok.all():
+            return False
+    return True

@@ -735,6 +735,42 @@ def test_bounds_all_is_pinned(capsys):
     assert err.startswith("5607 rows, minimum margin ")
 
 
+# k = 7 is odd and k = 2 the smallest; every chain has points on both sides
+# of its regime, and hi-q's margin moves with C1 away from C1 = 8C
+@pytest.mark.parametrize("chain, code, digest, summary", [
+    ("hi-n", 1,
+     "84b6c5f1ced56be34e22c00e04b7221076cd8950e1a5eff8353c8b7502a4c8ac",
+     "24 rows, minimum margin -13.957041, not all positive"),
+    ("hi-p", 1,
+     "894f09d8782b728dade8476ed8eca409d6f67cb207295fcd18551161ade322e0",
+     "24 rows, minimum margin -16.316760, not all positive"),
+    ("hi-q", 0,
+     "5499baced6815d2475e1d60fb09874e3d054b3ebf99f19f45dc7a752b26f8a71",
+     "20 rows, minimum margin 0.323120, all positive"),
+    ("s5-obdd", 0,
+     "4f9434d0ab56a28dafeb065e6f2747d24aa00fa509312770878cb804cd482a43",
+     "20 rows, minimum margin 1.250000, all positive"),
+    ("s5-nobdd", 0,
+     "386eb0a0d9a9228be8fc4d6f64488cc3c19518e9b27b68bdab733e82333669fb",
+     "20 rows, minimum margin 0.007576, all positive"),
+    ("s5-pobdd", 1,
+     "b9d71c665326d221e6c44cb8963d91e642ada9c2b7476f7fd8e1cf64d430660e",
+     "20 rows, minimum margin -14374742541.076656, not all positive"),
+    ("h-kobdd", 1,
+     "816f66f8517712844f30beee7ef01ba739391940960c6f908cd69b9cf3a6faa1",
+     "24 rows, minimum margin -251.306172, not all positive")])
+def test_bounds_under_overridden_constants_is_pinned(capsys, chain, code,
+                                                     digest, summary):
+    size = (["--w", "7,8,16,63,64,1024"] if program.CHAIN_SIZE[chain] == "w"
+            else ["--d", "2,16,33,1024,1048576"])
+    got, out, err = _run(capsys, ["bounds", chain, "--k", "2,3,7,64", *size,
+                                  "--constants", "C=2,C1=3,C2=5,C3=7"])
+    assert (got, hashlib.sha256(out.encode()).hexdigest(), err) == \
+        (code, digest, summary + "\n")
+    assert {line.split(",")[9] for line in out.splitlines()[1:]} == \
+        {"0", "1"}
+
+
 def test_subfn_truth_table_file(tmp_path, capsys):
     table = tmp_path / "parity3.tt"
     table.write_text("01101001\n")

@@ -932,6 +932,57 @@ def test_a_mapped_dense_file_reads_as_json_reads_it(tmp_path, monkeypatch,
                for t in (l.t0, l.t1))
 
 
+def _corrupted_text(emb: str, k: int, d: int) -> str:
+    """A built file's text with its first 0 cell spelled "x.0"."""
+    text = _embedded_text(emb, k, d)
+    at = text.index('"0.0"', text.index('"levels":['))
+    return text[:at] + '"x.0"' + text[at + 5:]
+
+
+def test_a_malformed_built_file_is_reported_without_a_whole_text_parse(
+        tmp_path, monkeypatch):
+    text = _corrupted_text("quantum", 2, 4)
+    path = tmp_path / "bad.json"
+    path.write_text(text + "\n")
+    want = "levels[0].t0[0].im: not a decimal number: 'x.0'"
+    _assert_read_as_json_reads(text)
+    lengths = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *args, **kwargs:
+                        lengths.append(len(s)) or loads(s, *args, **kwargs))
+    data = text.encode()
+    for read in (lambda: deserialize(text), lambda: deserialize(data),
+                 lambda: program.load_program(str(path))):
+        lengths.clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProgramFormatError) as info:
+                read()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == want
+        assert max(lengths) < len(text) // 20      # pieces only
+        assert peak < 1 << 20
+
+
+def test_a_decode_error_before_a_later_fault_of_the_text_reads_as_json():
+    """The first level's decode error is not raised while a later piece
+    is not JSON, not UTF-8, or too deep for the whole-text parse."""
+    text = _corrupted_text("prob", 2, 4)
+    at = text.rindex(',"var":')
+    later = {"syntax": text[:at] + text[at + 1:],
+             "deep": text[:at + 7] + "[" * 100_000 + "]" * 100_000
+             + text[text.index(",", at + 1):]}
+    for name, t in later.items():
+        _assert_read_as_json_reads(t)
+        assert _outcome(t).startswith("invalid JSON: "), name
+    raw = text.encode()
+    at = raw.rindex(b'"0.0"')
+    with pytest.raises(ProgramFormatError, match="can't decode byte 0xff"):
+        deserialize(raw[:at] + b'"\xff.0"' + raw[at + 5:])
+
+
 def _near_text(rng: random.Random, lits: list[str]) -> str:
     """A text of the literals' own characters: whole literals, literals
     with one character changed, cut ones that the next piece overlaps,

@@ -291,6 +291,68 @@ def test_bounded_error_rejects_nan():
     assert not computes_bounded_error(p, lambda x: 1 - x.bit(1), 0.1)
 
 
+def _noisy_parity(n: int, first: np.ndarray) -> Program:
+    """Width 2: level 1 applies first on bit 0 and its row swap on bit 1,
+    and every later level swaps the two nodes on a 1."""
+    levels = [matrix_level(1, first, first[::-1])]
+    levels += [matrix_level(v, np.eye(2), np.eye(2)[::-1])
+               for v in range(2, n + 1)]
+    return Program(semantics="probabilistic", n=n, k=1,
+                   order=VariableOrder.identity(n), levels=tuple(levels),
+                   initial=1, accept=frozenset({2}))
+
+
+_NOISY = np.array([[0.95, 0.05], [0.05, 0.95]])
+
+
+def _xor_oracle(n: int, flip=lambda xs: 0):
+    from kobdd import FunctionOracle
+    return FunctionOracle(f"xor:{n}", n, lambda x: sum(x.bits) & 1,
+                          lambda xs: np.bitwise_xor.reduce(xs, axis=1)
+                          ^ flip(xs))
+
+
+def test_bounded_error_sweeps_rows_in_chunks():
+    # parity accepted with probability 0.95 or 0.05 exactly; one sweep of
+    # all 2^20 rows at once peaked at 105 MB in this test
+    import tracemalloc
+    p = _noisy_parity(20, _NOISY)
+    tracemalloc.start()
+    try:
+        assert computes_bounded_error(p, _xor_oracle(20), 0.45)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert not computes_bounded_error(p, _xor_oracle(20), 0.46)
+    # one wrong row, in the first chunk or the last
+    for row in (0, (1 << 20) - 1):
+        wrong = _xor_oracle(20, lambda xs: np.all(xs == row % 2, axis=1))
+        assert not computes_bounded_error(p, wrong, 0.1)
+    nan = _noisy_parity(15, np.full((2, 2), np.nan))
+    assert not computes_bounded_error(nan, _xor_oracle(15), 0.1)
+    with pytest.raises(ValueError, match="refusing to materialize 2\\^25"):
+        computes_bounded_error(_noisy_parity(25, _NOISY), _xor_oracle(25),
+                               0.1)
+
+
+def test_bounded_error_agrees_with_one_sweep_of_every_row():
+    # two chunks of dense levels; the verdict turns at the least distance
+    # of a probability from 1/2, as one array of all 2^15 rows gives it
+    from kobdd import FunctionOracle
+    p = random_prob_program(random.Random(41), 15, 1, wmax=4)
+    probs = accept_prob_batch(p, all_assignments_array(15))
+    table = (probs > 0.5).astype(np.uint8)
+    f = FunctionOracle("above", 15, lambda x: int(table[x.to_int()]),
+                       lambda xs: table[xs @ (1 << np.arange(15))])
+    gap = float(np.abs(probs - 0.5).min())
+    assert 0.1 < gap < 0.2
+    for eps in (0.05, gap, gap + 1e-6, 0.3, 0.5):
+        want = np.where(table == 1, probs >= 0.5 + eps - kernel._SLACK,
+                        probs <= 0.5 - eps + kernel._SLACK).all()
+        assert computes_bounded_error(p, f, eps) == want == (eps <= gap)
+
+
 def test_bounded_error_guards():
     p = _xor_program()
     with pytest.raises(ValueError):
